@@ -10,6 +10,7 @@ after), and reads :meth:`UpdateAccumulator.result` once at the end.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -336,10 +337,8 @@ class Aggregator:
         raise NotImplementedError
 
     def delta_accumulator(self) -> StreamingDeltaAccumulator:
-        """A fresh FedBuff delta accumulator (streaming modes only)."""
-        raise NotImplementedError(
-            f"aggregation mode {self.name!r} has no streaming delta accumulator"
-        )
+        """A fresh FedBuff delta accumulator that never spills (exact fold)."""
+        return StreamingDeltaAccumulator(parity_limit=sys.maxsize)
 
     def aggregate(self, states: Sequence[State], weights: Sequence[float]) -> State:
         """One-shot aggregation (fold everything, read the result)."""
@@ -361,7 +360,11 @@ class Aggregator:
 
 
 class GemvAggregator(Aggregator):
-    """The historical (K, P) GEMV aggregation — the default mode."""
+    """The historical (K, P) GEMV aggregation — the default mode.
+
+    Its accumulators buffer every update: the barrier fold runs one GEMV at
+    the end, and the inherited FedBuff delta accumulator never spills.
+    """
 
     name = "gemv"
     streaming = False

@@ -112,9 +112,9 @@ class FederatedAlgorithm:
 
     #: Whether :meth:`run` honors a :class:`~repro.fl.scheduling.RoundScheduler`
     #: (partial participation, stragglers, deadline cutoffs).  True for the
-    #: global-state algorithms whose round loop goes through
-    #: :meth:`_run_scheduled_rounds`; the personalized algorithms still run
-    #: the full cohort every round.
+    #: global-state algorithms whose rounds run through
+    #: :meth:`_run_global_rounds` (and FedProx's FedBuff loop); the
+    #: personalized algorithms still run the full cohort every round.
     supports_scheduling: bool = False
 
     #: Whether :meth:`run` implements the FedBuff buffered-asynchronous
@@ -209,10 +209,7 @@ class FederatedAlgorithm:
         Returns ``(tasks, finish)`` where ``finish(update)`` completes one
         returned update in the coordinating process (decoding backend-encoded
         payloads; applying delta references and error feedback; recording
-        measured bytes) — a no-op without a channel.  Shared by the batch
-        (:meth:`map_client_updates`) and streaming
-        (:meth:`iter_client_updates`) entry points so both dispatch — and
-        account transport bytes — identically.
+        measured bytes) — a no-op without a channel.
         """
         if transport not in _TRANSPORT_MODES:
             raise ValueError(
@@ -312,18 +309,11 @@ class FederatedAlgorithm:
         part returns untouched).  Without a channel both flags are
         irrelevant: states move raw.
         """
-        tasks, finish = self._prepare_client_tasks(
-            states, steps, proximal_mu, op, transport, upload_names, cohort
+        return list(
+            self.iter_client_updates(
+                states, steps, proximal_mu, op, transport, upload_names, cohort
+            )
         )
-        if self.resilience is not None:
-            # Supervised dispatch: fault injection, retries with backoff,
-            # per-client RNG snapshot/restore.  Clients that exhaust their
-            # retries are simply absent from the returned list.
-            return list(self.resilience.supervise(self.backend, tasks, finish, self.clients))
-        updates = self.backend.map(tasks)
-        for update in updates:
-            finish(update)
-        return updates
 
     def iter_client_updates(
         self,
@@ -335,13 +325,15 @@ class FederatedAlgorithm:
         upload_names: Optional[Sequence[str]] = None,
         cohort: Optional[Sequence[int]] = None,
     ):
-        """Streaming variant of :meth:`map_client_updates`.
+        """Incremental form of :meth:`map_client_updates`.
 
         Yields each :class:`ClientUpdate` in participant order as soon as
         its computation completes (via the backend's ``imap``), so a
         streaming server can fold — and release — update ``i`` while
-        updates ``i+1..`` are still training.  Values are identical to the
-        batch entry point; only the delivery is incremental.
+        updates ``i+1..`` are still training.  Under a resilience manager
+        the dispatch is supervised (fault injection, retries with backoff,
+        per-client RNG snapshot/restore): retried clients arrive after the
+        first wave, and clients that exhaust their retries yield nothing.
         """
         tasks, finish = self._prepare_client_tasks(
             states, steps, proximal_mu, op, transport, upload_names, cohort
@@ -547,12 +539,12 @@ class FederatedAlgorithm:
 
         The per-algorithm per-update server step: FedProx folds the raw
         state weighted by sample count, DP-FedProx privatizes it first.
-        Called in arrival order — which equals cohort order on every
-        backend — so sequential server-side RNG streams (DP noise) are
-        backend- and mode-independent.
+        Called in arrival order — cohort order on every backend, with
+        retried clients after the first wave — so sequential server-side
+        RNG streams (DP noise) are backend- and mode-independent.
         """
         raise NotImplementedError(
-            f"{self.__class__.__name__} does not implement the scheduled round loop"
+            f"{self.__class__.__name__} does not implement the synchronous round loop"
         )
 
     def _finalize_round(
@@ -567,212 +559,84 @@ class FederatedAlgorithm:
         state plus extras for the round record.
         """
         raise NotImplementedError(
-            f"{self.__class__.__name__} does not implement the scheduled round loop"
+            f"{self.__class__.__name__} does not implement the synchronous round loop"
         )
-
-    def _global_round(
-        self, round_index: int, global_state: State, kept: Sequence[ClientUpdate]
-    ) -> "tuple[State, Dict[str, object]]":
-        """Aggregate one round's kept updates into the global state.
-
-        Expressed through the fold hooks so every aggregation mode shares
-        one code path: the ``gemv`` accumulator simply buffers the updates
-        it is folded (reproducing the historical batch aggregation bit for
-        bit), while the streaming/sharded accumulators consume them one at
-        a time — in which case each update's state is dropped, and its
-        (possibly virtual) client released, as soon as it is folded.
-        """
-        accumulator = self._begin_fold(global_state)
-        for update in kept:
-            self._fold_update(accumulator, global_state, update)
-            if self.server.streaming:
-                update.state = None
-                self._release_client(update.client_index)
-        self.server.record_folds(accumulator.count)
-        return self._finalize_round(round_index, global_state, accumulator)
 
     def _run_global_rounds(
         self, result: TrainingResult, global_state: State, start_round: int
     ) -> State:
-        """The per-round loop of every global-state algorithm.
+        """The synchronous round loop of every global-state algorithm.
 
-        Dispatches to the scheduler-driven loop when a round scheduler is
-        attached, and to the historical full-cohort loop (bit-identical to
-        pre-scheduling behavior) otherwise.  Both express the server step
-        through the :meth:`_global_round` hook.
+        Each round takes its cohort — every client, or the scheduler's
+        sample — minus the clients the resilience manager dropped for good,
+        and streams the cohort's updates through
+        :meth:`iter_client_updates`.  Each arrival draws its straggler
+        latency as it lands; updates the round policy keeps (all of them,
+        or those within the deadline) are folded into one accumulator.  The
+        ``gemv`` accumulator only buffers, so its result is the batch
+        aggregation bit for bit; a streaming server drops each update's
+        state, and releases its (possibly virtual) client, right after the
+        fold.  The round then closes on the scheduler, checks quorum,
+        commits the resilience drops — before :meth:`_finalize_round`
+        saves the checkpoint, so it carries them — and finalizes.
         """
-        if self.scheduler is None:
-            return self._run_unscheduled_rounds(result, global_state, start_round)
-        return self._run_scheduled_rounds(result, global_state, start_round)
-
-    def _run_unscheduled_rounds(
-        self, result: TrainingResult, global_state: State, start_round: int
-    ) -> State:
-        """Full-cohort synchronous rounds (the pre-scheduling behavior).
-
-        With a resilience manager attached the cohort excludes permanently
-        failed clients, the round only commits at quorum (raising the typed
-        :class:`~repro.fl.faults.QuorumFailure` below it), and clients that
-        exhausted their retries this round are dropped for good with a
-        recorded weight renormalization.  Without one, the loop is the
-        pre-resilience code path bit for bit.
-        """
-        mu = self._local_proximal_mu()
+        scheduler = self.scheduler
         resilience = self.resilience
+        deadline = None
+        if scheduler is not None and scheduler.policy == "deadline":
+            deadline = scheduler.deadline
         for round_index in range(start_round, self.config.rounds):
-            if resilience is None:
-                updates = self.map_client_updates(
-                    global_state, steps=self.config.local_steps, proximal_mu=mu
-                )
-            else:
+            plan = scheduler.begin_round(round_index) if scheduler is not None else None
+            cohort = plan.cohort if plan is not None else range(len(self.clients))
+            if resilience is not None:
                 resilience.begin_round(round_index)
-                cohort = resilience.active_cohort(range(len(self.clients)))
-                updates = (
-                    self.map_client_updates(
-                        global_state,
-                        steps=self.config.local_steps,
-                        proximal_mu=mu,
-                        cohort=cohort,
-                    )
-                    if cohort
-                    else []
+                cohort = resilience.active_cohort(cohort)
+            cohort = list(cohort)
+            accumulator = self._begin_fold(global_state)
+            arrived: List[ClientUpdate] = []
+            latencies: Dict[int, float] = {}
+            per_client_loss: Dict[int, float] = {}
+            updates = (
+                self.iter_client_updates(
+                    global_state,
+                    steps=self.config.local_steps,
+                    proximal_mu=self._local_proximal_mu(),
+                    cohort=cohort,
                 )
+                if cohort
+                else ()
+            )
+            for update in updates:
+                arrived.append(update)
+                if scheduler is not None:
+                    latencies[update.client_index] = scheduler.draw_latency(update.client_index)
+                if deadline is None or latencies[update.client_index] <= deadline:
+                    self._fold_update(accumulator, global_state, update)
+                    per_client_loss[update.client_id] = update.stats.mean_loss
+                if self.server.streaming:
+                    update.state = None
+                    self._release_client(update.client_index)
+            round_extra: Dict[str, object] = {}
+            if plan is not None:
+                # Clients that exhausted their retries produced no update:
+                # the plan shrinks to the arrivals, in arrival order.
+                plan.cohort = [update.client_index for update in arrived]
+                outcome = scheduler.complete_round(plan, arrived, latencies=latencies)
+                round_extra.update(outcome.record_extra)
+            if resilience is not None:
                 resilience.check_quorum(
                     round_index,
-                    arrived=len(updates),
+                    arrived=accumulator.count,
                     cohort_size=len(cohort),
                     checkpoint_dir=self._auto_checkpoint_dir(),
                 )
-            # Drops commit *before* the aggregation step so the round's
-            # checkpoint (saved inside _finalize_round) already carries the
-            # updated permanent-failure set.
-            commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-            global_state, extra = self._global_round(round_index, global_state, updates)
-            extra = {**extra, **commit_extra}
-            per_client_loss = {
-                update.client_id: update.stats.mean_loss for update in updates
-            }
+                round_extra.update(resilience.commit_round(self.client_weights()))
+            self.server.record_folds(accumulator.count)
+            global_state, extra = self._finalize_round(round_index, global_state, accumulator)
             result.history.append(
-                self._round_record(round_index, per_client_loss, extra=extra)
+                self._round_record(round_index, per_client_loss, extra={**extra, **round_extra})
             )
         return global_state
-
-    def _run_scheduled_rounds(
-        self, result: TrainingResult, global_state: State, start_round: int
-    ) -> State:
-        """Barrier-style (sync / deadline) rounds driven by the scheduler.
-
-        Each round: ask the scheduler for a cohort (sampling over the
-        clients available at the current virtual time), run the cohort's
-        client passes through the execution backend, let the round policy
-        keep or drop each update (drawing straggler latencies and advancing
-        the virtual clock), and aggregate whatever survived via
-        :meth:`_global_round`.
-        """
-        scheduler = self.scheduler
-        resilience = self.resilience
-        for round_index in range(start_round, self.config.rounds):
-            plan = scheduler.begin_round(round_index)
-            if resilience is not None:
-                resilience.begin_round(round_index)
-                # Permanently failed clients leave the cohort *before* any
-                # latency draw, so the latency RNG never spends entropy on
-                # clients that cannot participate.
-                plan.cohort = resilience.active_cohort(plan.cohort)
-            attempted = len(plan.cohort)
-            if self.server.streaming and plan.cohort:
-                global_state, extra, per_client_loss = self._stream_scheduled_round(
-                    round_index, global_state, plan
-                )
-            else:
-                updates = (
-                    self.map_client_updates(
-                        global_state,
-                        steps=self.config.local_steps,
-                        proximal_mu=self._local_proximal_mu(),
-                        cohort=plan.cohort,
-                    )
-                    if plan.cohort
-                    else []
-                )
-                if resilience is not None:
-                    # Clients that exhausted their retries produced no
-                    # update; shrink the plan to the arrivals so the
-                    # scheduler's alignment contract holds.
-                    plan.cohort = [update.client_index for update in updates]
-                outcome = scheduler.complete_round(plan, updates)
-                if resilience is not None:
-                    resilience.check_quorum(
-                        round_index,
-                        arrived=len(outcome.kept),
-                        cohort_size=attempted,
-                        checkpoint_dir=self._auto_checkpoint_dir(),
-                    )
-                # Drops commit *before* the aggregation step so the round's
-                # checkpoint (saved inside _finalize_round) already carries
-                # the updated permanent-failure set.
-                commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-                global_state, extra = self._global_round(round_index, global_state, outcome.kept)
-                extra = {**extra, **outcome.record_extra, **commit_extra}
-                per_client_loss = {
-                    update.client_id: update.stats.mean_loss for update in outcome.kept
-                }
-            result.history.append(
-                self._round_record(round_index, per_client_loss, extra=extra)
-            )
-        return global_state
-
-    def _stream_scheduled_round(self, round_index: int, global_state: State, plan):
-        """One scheduled round with per-arrival folding (streaming server).
-
-        The cohort's straggler latencies are pre-drawn (consuming the
-        latency RNG exactly as the batch path's ``complete_round`` would,
-        so every drawn value stays bit-identical), each update is folded —
-        or, past the deadline, discarded — the moment it comes off the
-        backend, and its state and client are released immediately after.
-        Peak coordinator memory is therefore O(P), independent of the
-        cohort size.
-        """
-        scheduler = self.scheduler
-        resilience = self.resilience
-        attempted = len(plan.cohort)
-        latencies = scheduler.arrival_schedule(plan)
-        deadline = scheduler.deadline if scheduler.policy == "deadline" else None
-        accumulator = self._begin_fold(global_state)
-        updates: List[ClientUpdate] = []
-        per_client_loss: Dict[int, float] = {}
-        for update in self.iter_client_updates(
-            global_state,
-            steps=self.config.local_steps,
-            proximal_mu=self._local_proximal_mu(),
-            cohort=plan.cohort,
-        ):
-            updates.append(update)
-            if deadline is None or latencies[update.client_index] <= deadline:
-                self._fold_update(accumulator, global_state, update)
-                per_client_loss[update.client_id] = update.stats.mean_loss
-            update.state = None
-            self._release_client(update.client_index)
-        if resilience is not None:
-            # Clients that exhausted their retries produced no update;
-            # shrink the plan (and its pre-drawn latencies) to the arrivals
-            # so the scheduler's alignment contract holds, and gate the
-            # commit on the number of updates actually *folded*.
-            plan.cohort = [update.client_index for update in updates]
-            latencies = {index: latencies[index] for index in plan.cohort}
-            resilience.check_quorum(
-                round_index,
-                arrived=accumulator.count,
-                cohort_size=attempted,
-                checkpoint_dir=self._auto_checkpoint_dir(),
-            )
-        outcome = scheduler.complete_round(plan, updates, latencies=latencies)
-        # Drops commit *before* _finalize_round so the round's checkpoint
-        # already carries the updated permanent-failure set.
-        commit_extra = resilience.commit_round(self.client_weights()) if resilience else {}
-        self.server.record_folds(accumulator.count)
-        global_state, extra = self._finalize_round(round_index, global_state, accumulator)
-        return global_state, {**extra, **outcome.record_extra, **commit_extra}, per_client_loss
 
     # -- interface ------------------------------------------------------------------
     def run(self) -> TrainingResult:

@@ -6,13 +6,15 @@ proximal term ``mu * ||W^r - w_k||^2`` that limits client drift, then the
 developer aggregates the returned parameters weighted by sample count.
 FedAvg is the special case ``mu = 0``.
 
-Both algorithms honor a :class:`~repro.fl.scheduling.RoundScheduler`: under
-partial participation only the sampled cohort trains, under the deadline
-policy straggler updates are dropped before aggregation, and under the
-``fedbuff`` policy the synchronous barrier disappears entirely —
-:meth:`FedProx._run_fedbuff` runs the buffered-asynchronous event loop of
-Nguyen et al. (2022), aggregating staleness-weighted update deltas whenever
-the server-side buffer fills.
+Both algorithms honor a :class:`~repro.fl.scheduling.RoundScheduler`.  The
+barrier policies run through the shared
+:meth:`~repro.fl.algorithms.base.FederatedAlgorithm._run_global_rounds`
+loop: under partial participation only the sampled cohort trains, and under
+the deadline policy an update that arrives late is never folded.  Under the
+``fedbuff`` policy the barrier disappears: :meth:`FedProx._run_fedbuff` runs
+the buffered-asynchronous event loop of Nguyen et al. (2022), folding each
+arrival's staleness-weighted delta into the server's delta accumulator and
+applying it whenever the buffer fills.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.fl.algorithms.base import FederatedAlgorithm, TrainingResult
+from repro.fl.algorithms.base import FederatedAlgorithm, TrainingResult, logger
 from repro.fl.execution import ClientUpdate
-from repro.fl.parameters import (
-    FlatState,
-    State,
-    average_pairwise_distance,
-    state_vector,
-    weighted_average,
-    wrap_flat,
-)
+from repro.fl.parameters import State, average_pairwise_distance
 
 
 @dataclass
@@ -138,8 +133,6 @@ class FedProx(FederatedAlgorithm):
             # In-flight (dispatched, not yet aggregated) work is not part of
             # a round checkpoint; a resumed fedbuff run re-dispatches from
             # the checkpointed model instead of replaying lost flights.
-            from repro.fl.algorithms.base import logger
-
             logger.warning(
                 "%s: fedbuff checkpoints cover aggregations, not in-flight "
                 "updates; a resumed run is deterministic but not bit-identical "
@@ -185,51 +178,13 @@ class FedProx(FederatedAlgorithm):
         concurrency = len(initial)
         dispatch(initial)
 
-        buffer: List[Tuple[_InFlight, float, int]] = []  # (entry, weight, staleness)
+        # Each arrival's delta is folded at once.  The gemv accumulator
+        # never spills, so it keeps every buffered update for the exact
+        # fold; a streaming server's accumulator spills past its parity
+        # buffer into an O(P) running sum.
+        accumulator = self.server.delta_accumulator()
+        buffer_staleness: List[int] = []
         buffer_losses: Dict[int, float] = {}
-        # Streaming servers fold each buffered delta at arrival time (and
-        # release the update's state immediately); the gemv path keeps the
-        # historical batch fold below, bit for bit.
-        delta_accumulator = self.server.delta_accumulator() if self.server.streaming else None
-
-        def aggregate_buffer() -> State:
-            """Fold the buffered updates into the global model."""
-            entries = [entry for entry, _, _ in buffer]
-            weights = [weight for _, weight, _ in buffer]
-            if all(
-                staleness == 0 and entry.dispatch_state is global_state
-                for entry, _, staleness in buffer
-            ):
-                # Every update is fresh: identical to the synchronous
-                # sample-weighted average over the buffered clients.
-                return weighted_average([entry.update.state for entry in entries], weights)
-            total = float(sum(weights))
-            if isinstance(global_state, FlatState) and all(
-                isinstance(entry.update.state, FlatState)
-                and isinstance(entry.dispatch_state, FlatState)
-                for entry, _, _ in buffer
-            ):
-                # Staleness-weighted folding over the contiguous buffers:
-                # one axpy per buffered update, in arrival order — the same
-                # elementwise operations as the per-name loop below, so the
-                # two paths stay bit-identical.
-                layout = global_state.layout
-                folded_vector = global_state.vector.copy()
-                for entry, weight, _ in buffer:
-                    scale = weight / total
-                    folded_vector += scale * (
-                        state_vector(entry.update.state, layout)
-                        - state_vector(entry.dispatch_state, layout)
-                    )
-                return wrap_flat(layout, folded_vector)
-            folded = {name: values.copy() for name, values in global_state.items()}
-            for entry, weight, _ in buffer:
-                scale = weight / total
-                for name in folded:
-                    folded[name] += scale * (
-                        entry.update.state[name] - entry.dispatch_state[name]
-                    )
-            return folded
 
         while version < self.config.rounds:
             if not heap:
@@ -252,34 +207,24 @@ class FedProx(FederatedAlgorithm):
                 weight = float(
                     self.clients[entry.client_index].num_samples
                 ) * scheduler.staleness_weight(staleness)
-                buffer.append((entry, weight, staleness))
+                buffer_staleness.append(staleness)
                 buffer_losses[entry.update.client_id] = entry.update.stats.mean_loss
                 scheduler.record_buffered(staleness)
-                if delta_accumulator is not None:
-                    # Fresh at fold time stays fresh at aggregation time: the
-                    # global model only rebinds at an aggregation, which also
-                    # resets the buffer and the accumulator.
-                    delta_accumulator.fold(
-                        entry.update.state,
-                        entry.dispatch_state,
-                        weight,
-                        fresh=staleness == 0 and entry.dispatch_state is global_state,
-                    )
-                    if delta_accumulator.spilled:
-                        # Past the parity buffer the delta is captured in the
-                        # running sum; drop the references so coordinator
-                        # memory stays O(P) regardless of buffer size.
-                        entry.update.state = None
-                        entry.dispatch_state = None
+                # Fresh at fold time stays fresh at aggregation time: the
+                # global model only rebinds at an aggregation, which also
+                # resets the accumulator.
+                accumulator.fold(
+                    entry.update.state,
+                    entry.dispatch_state,
+                    weight,
+                    fresh=staleness == 0 and entry.dispatch_state is global_state,
+                )
+                if self.server.streaming:
                     self._release_client(entry.client_index)
-                if len(buffer) >= scheduler.buffer_size:
-                    if delta_accumulator is not None:
-                        global_state = delta_accumulator.result(global_state)
-                        delta_accumulator.reset()
-                    else:
-                        global_state = aggregate_buffer()
-                    self.server.record_folds(len(buffer))
-                    staleness_values = [staleness for _, _, staleness in buffer]
+                if accumulator.count >= scheduler.buffer_size:
+                    global_state = accumulator.result(global_state)
+                    accumulator.reset()
+                    self.server.record_folds(len(buffer_staleness))
                     round_index = version
                     version += 1
                     scheduler.record_aggregation()
@@ -287,18 +232,18 @@ class FedProx(FederatedAlgorithm):
                     result.history.append(
                         self._round_record(
                             round_index,
-                            dict(buffer_losses),
+                            buffer_losses,
                             extra={
-                                "buffered_updates": len(buffer),
+                                "buffered_updates": len(buffer_staleness),
                                 "mean_staleness": float(
-                                    sum(staleness_values) / len(staleness_values)
+                                    sum(buffer_staleness) / len(buffer_staleness)
                                 ),
-                                "max_staleness": int(max(staleness_values)),
+                                "max_staleness": int(max(buffer_staleness)),
                                 "simulated_time_s": scheduler.clock.now,
                             },
                         )
                     )
-                    buffer = []
+                    buffer_staleness = []
                     buffer_losses = {}
             if version >= self.config.rounds:
                 break

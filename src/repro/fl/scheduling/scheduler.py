@@ -276,41 +276,27 @@ class RoundScheduler:
                 )
             self.wait_for_clients()
 
-    def arrival_schedule(self, plan: RoundPlan) -> Dict[int, float]:
-        """Pre-draw the cohort's latencies, in cohort order.
-
-        Streaming aggregation needs each client's arrival time *before* its
-        update is folded (to apply the deadline policy one update at a time).
-        Drawing here consumes the latency RNG in exactly the order
-        :meth:`complete_round` would, so passing the result back via its
-        ``latencies=`` parameter leaves every drawn value — and all later
-        RNG consumption — bit-identical to the batch path.
-        """
-        return {index: self.draw_latency(index) for index in plan.cohort}
-
     def complete_round(
         self,
         plan: RoundPlan,
         updates: Sequence[object],
-        latencies: Optional[Dict[int, float]] = None,
+        latencies: Dict[int, float],
     ) -> RoundOutcome:
         """Apply the round policy to the cohort's computed updates.
 
-        ``updates`` is aligned with ``plan.cohort``.  Latencies are drawn in
-        cohort order (or taken from a pre-drawn ``latencies`` mapping from
-        :meth:`arrival_schedule`); under the deadline policy, updates
-        arriving late are dropped (their computation is discarded, exactly
-        like a production server ignoring a straggler's upload).  Advances
-        the virtual clock by the round's duration and updates the
-        participation counters.
+        ``updates`` is aligned with ``plan.cohort`` and ``latencies`` maps
+        each cohort index to the round-trip duration drawn (with
+        :meth:`draw_latency`) when its update arrived.  Under the deadline
+        policy, updates arriving late are dropped (their computation is
+        discarded, exactly like a production server ignoring a straggler's
+        upload).  Advances the virtual clock by the round's duration and
+        updates the participation counters.
         """
         if len(updates) != len(plan.cohort):
             raise ValueError(
                 f"got {len(updates)} updates for a cohort of {len(plan.cohort)}"
             )
-        if latencies is None:
-            latencies = self.arrival_schedule(plan)
-        elif set(latencies) != set(plan.cohort):
+        if set(latencies) != set(plan.cohort):
             raise ValueError("latencies= must cover exactly the round's cohort")
         if self.policy == "deadline":
             kept = [

@@ -173,9 +173,9 @@ def im2col(
         flat_index = _col2im_flat_index(
             c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h + 2 * padding, w + 2 * padding
         )
-        # One flat gather straight into the reused buffer (compiled when
-        # numba is available, else np.take's unbuffered mode="clip" path;
-        # the memoized indices are in range by construction).
+        # One flat gather straight into the reused buffer (np.take's
+        # unbuffered mode="clip" path; the memoized indices are in range
+        # by construction).
         gather_into(x.reshape(n, -1), flat_index.reshape(-1), out.reshape(n, -1))
         return out
     k, i, j = _im2col_indices(c, kernel_h, kernel_w, out_h, out_w, stride, dilation)
@@ -207,9 +207,9 @@ def col2im(
     * **Fused clipped scatter** (the default): col2im fused with the unpad
       slice — each tap lands directly in the unpadded result over the
       clipped output range the slice would keep (see
-      :func:`repro.nn.kernels.fused_col2im`; compiled via numba where
-      available).  Same per-cell addition order as tap accumulation, so
-      bit-identical, without the padded temporary.
+      :func:`repro.nn.kernels.fused_col2im`).  Same per-cell addition
+      order as tap accumulation, so bit-identical, without the padded
+      temporary.
     * **Tap accumulation** (under
       :func:`repro.nn.kernels.compiled_kernels_disabled`, the PR 5/6
       engine): one vectorized ``+=`` per kernel

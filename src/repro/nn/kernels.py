@@ -1,4 +1,4 @@
-"""Fused and optionally-compiled convolution kernels.
+"""Fused convolution kernels.
 
 This module holds the compute-saturation kernel layer that sits underneath
 :mod:`repro.nn.functional` and the conv layers:
@@ -19,12 +19,6 @@ This module holds the compute-saturation kernel layer that sits underneath
   batched-matmul-plus-reduction collapses to one plain 2-D GEMM over the
   same operands (the "where shapes permit" fusion), skipping the
   ``sum(axis=0)`` pass entirely.
-* Optional **numba** kernels for the im2col gather and the per-tap scatter,
-  compiled lazily on first use when :mod:`numba` is importable and silently
-  absent otherwise (this container does not ship numba; the pure-NumPy
-  kernels above are the production path there).  The compiled loop nests
-  visit elements in exactly the order of their NumPy equivalents, so they
-  are held to the same bit-identity bar by ``tests/nn/test_kernels.py``.
 
 Everything is gated by :func:`compiled_kernels_disabled`, a parity flag in
 the exact mold of :func:`repro.nn.workspace.workspaces_disabled`: disabling
@@ -58,7 +52,7 @@ _ENABLED = True
 
 
 def compiled_kernels_enabled() -> bool:
-    """Whether the fused/compiled kernel paths are active (the default)."""
+    """Whether the fused kernel paths are active (the default)."""
     return _ENABLED
 
 
@@ -72,87 +66,6 @@ def compiled_kernels_disabled():
         yield
     finally:
         _ENABLED = previous
-
-
-# -- optional numba backend ------------------------------------------------------
-#
-# numba is an optional accelerator, never a dependency: when it is not
-# importable (this container), the pure-NumPy kernels below are the real
-# path and nothing changes.  When it is importable, the jitted loop nests
-# replace the NumPy expressions on first use; a compile failure downgrades
-# back to NumPy permanently for the process.
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:
-    _numba = None
-    HAVE_NUMBA = False
-
-_NUMBA_SCATTER = None
-_NUMBA_GATHER = None
-_NUMBA_BROKEN = False
-
-
-def kernel_backend() -> str:
-    """``"numba"`` when the compiled kernels are available, else ``"numpy"``."""
-    if _ENABLED and HAVE_NUMBA and not _NUMBA_BROKEN:
-        return "numba"
-    return "numpy"
-
-
-def _build_numba_kernels():  # pragma: no cover - requires numba
-    """Compile the gather/scatter loop nests (lazy, once per process)."""
-    global _NUMBA_SCATTER, _NUMBA_GATHER, _NUMBA_BROKEN
-    if _NUMBA_SCATTER is not None or _NUMBA_BROKEN:
-        return
-    try:
-        njit = _numba.njit
-
-        @njit(cache=True)
-        def scatter_taps(taps, out, stride, padding, dilation):
-            # taps: (n, c, kh, kw, out_h, out_w); out: (n, c, h, w), pre-zeroed.
-            # Ascending (ki, kj) tap order — the reference accumulation order.
-            n, c, kernel_h, kernel_w, out_h, out_w = taps.shape
-            h, w = out.shape[2], out.shape[3]
-            for ki in range(kernel_h):
-                row_offset = ki * dilation - padding
-                row_lo = 0 if row_offset >= 0 else (-row_offset + stride - 1) // stride
-                row_hi = (h - 1 - row_offset) // stride + 1
-                if row_hi > out_h:
-                    row_hi = out_h
-                if row_lo >= row_hi:
-                    continue
-                for kj in range(kernel_w):
-                    col_offset = kj * dilation - padding
-                    col_lo = 0 if col_offset >= 0 else (-col_offset + stride - 1) // stride
-                    col_hi = (w - 1 - col_offset) // stride + 1
-                    if col_hi > out_w:
-                        col_hi = out_w
-                    if col_lo >= col_hi:
-                        continue
-                    for image in range(n):
-                        for channel in range(c):
-                            for oy in range(row_lo, row_hi):
-                                row = row_offset + stride * oy
-                                for ox in range(col_lo, col_hi):
-                                    out[image, channel, row, col_offset + stride * ox] += taps[
-                                        image, channel, ki, kj, oy, ox
-                                    ]
-
-        @njit(cache=True)
-        def gather_cols(flat_x, flat_index, out):
-            # flat_x: (n, c*hp*wp); flat_index: (m,); out: (n, m).  A plain
-            # gather — the compiled twin of the np.take im2col fast path.
-            for image in range(flat_x.shape[0]):
-                for j in range(flat_index.shape[0]):
-                    out[image, j] = flat_x[image, flat_index[j]]
-
-        _NUMBA_SCATTER = scatter_taps
-        _NUMBA_GATHER = gather_cols
-    except Exception:
-        _NUMBA_BROKEN = True
 
 
 def _tap_range(offset: int, stride: int, size: int, out_size: int) -> Tuple[int, int]:
@@ -195,13 +108,6 @@ def fused_col2im(
     n, c, h, w = x_shape
     out = np.zeros((n, c, h, w), dtype=cols.dtype)
     taps = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-    if HAVE_NUMBA and not _NUMBA_BROKEN:  # pragma: no cover - requires numba
-        _build_numba_kernels()
-        if _NUMBA_SCATTER is not None:
-            _NUMBA_SCATTER(
-                np.ascontiguousarray(taps), out, int(stride), int(padding), int(dilation)
-            )
-            return out
     for ki in range(kernel_h):
         row_offset = ki * dilation - padding
         row_lo, row_hi = _tap_range(row_offset, stride, h, out_h)
@@ -228,19 +134,10 @@ def fused_col2im(
 def gather_into(flat_x: np.ndarray, flat_index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The im2col gather ``out[i, j] = flat_x[i, flat_index[j]]``.
 
-    Dispatches to the compiled numba gather when available, else to the
-    ``np.take`` fast path (``mode="clip"`` selects the unbuffered
+    The ``np.take`` fast path: ``mode="clip"`` selects the unbuffered
     write-through branch; the memoized indices are in range by
-    construction).  Pure gathers are trivially bit-identical across
-    backends.
+    construction.
     """
-    if (
-        _ENABLED and HAVE_NUMBA and not _NUMBA_BROKEN
-    ):  # pragma: no cover - requires numba
-        _build_numba_kernels()
-        if _NUMBA_GATHER is not None:
-            _NUMBA_GATHER(flat_x, flat_index, out)
-            return out
     np.take(flat_x, flat_index, axis=1, out=out, mode="clip")
     return out
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.fl.aggregation import (
     AGGREGATION_CHOICES,
+    DEFAULT_PARITY_LIMIT,
     GemvAggregator,
     ShardedAccumulator,
     ShardedAggregator,
@@ -396,8 +397,12 @@ def test_invalid_construction_parameters_are_rejected():
         ShardedAccumulator(shards=0)
     with pytest.raises(ValueError, match="shards"):
         ShardedAggregator(shards=-1)
-    with pytest.raises(NotImplementedError, match="has no streaming delta accumulator"):
-        GemvAggregator().delta_accumulator()
+    # The gemv delta accumulator never spills: every FedBuff fold is exact.
+    states, weights = random_layout_states(73, DEFAULT_PARITY_LIMIT + 8)
+    delta = GemvAggregator().delta_accumulator()
+    for state, weight in zip(states, weights):
+        delta.fold(state, states[0], weight, fresh=False)
+    assert not delta.spilled
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.fl import (
     ClientTask,
     FaultPlan,
     FederatedClient,
+    FederatedServer,
     FLConfig,
     ProcessPoolBackend,
     QuorumFailure,
@@ -43,12 +44,15 @@ from repro.fl import (
     TaskFailure,
     ThreadPoolBackend,
     TransportDecodeError,
+    create_aggregator,
     create_algorithm,
     create_channel,
     create_resilience,
+    create_scheduler,
     resilience_requested,
 )
 from repro.fl.faults.plan import FaultDecision
+from repro.fl.parameters import state_digest
 from repro.fl.transport.codecs import IdentityCodec, Payload, QuantizationCodec, TopKCodec
 from repro.models import FLNet
 from repro.nn.serialization import load_state_dict, save_state_dict
@@ -460,6 +464,41 @@ class TestQuorum:
             "fedavg", [make_clients()[1]], make_factory(num_channels), TINY_CONFIG
         ).run()
         assert states_equal(training.global_state, solo.global_state)
+
+    @pytest.mark.parametrize("schedule", [
+        {"straggler": "lognormal", "seed": 3},
+        {"straggler": "heavytail", "round_policy": "deadline", "deadline": 8.0, "seed": 1},
+    ], ids=["sync", "deadline"])
+    def test_given_up_client_draws_no_latency_in_any_aggregation_mode(
+        self, schedule, make_clients, num_channels
+    ):
+        """Client 1 exhausts its retries under stragglers.  Latencies are
+        drawn per arrival, so the given-up client never consumes one, and
+        gemv and streaming report the same model, virtual clock and
+        scheduling totals."""
+        runs = []
+        for aggregation in ("gemv", "streaming"):
+            scheduler = create_scheduler(**schedule)
+            manager = ResilienceManager(
+                plan=AlwaysFailClient1Plan(),
+                retry=RetryPolicy(max_retries=1, seed=0),
+                quorum=0.5,
+            )
+            training = create_algorithm(
+                "fedavg",
+                make_clients(),
+                make_factory(num_channels),
+                TINY_CONFIG,
+                scheduler=scheduler,
+                server=FederatedServer(aggregator=create_aggregator(aggregation)),
+                resilience=manager,
+            ).run()
+            runs.append((
+                state_digest(training.global_state),
+                [record.extra["simulated_time_s"] for record in training.history],
+                scheduler.summary(),
+            ))
+        assert runs[0] == runs[1]
 
 
 class TestChaosResume:

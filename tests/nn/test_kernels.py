@@ -22,7 +22,6 @@ from repro.nn import (
     check_layer_parameter_gradients,
     compiled_kernels_disabled,
     compiled_kernels_enabled,
-    kernel_backend,
     max_relative_error,
     workspaces_disabled,
 )
@@ -206,10 +205,3 @@ class TestFlags:
             with compiled_kernels_disabled():
                 raise RuntimeError("boom")
         assert compiled_kernels_enabled()
-
-    def test_kernel_backend_reports_available_engine(self):
-        # numba is optional; whichever engine is active, the report must be
-        # one of the two known backends and honor the disable flag.
-        assert kernel_backend() in ("numba", "numpy")
-        with compiled_kernels_disabled():
-            assert kernel_backend() == "numpy"
