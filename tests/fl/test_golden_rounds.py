@@ -11,10 +11,10 @@ Digests are exact bits of a trained model, so they only repeat on the BLAS
 build and CPU that wrote them.  The file therefore also stores a
 *numerics canary* — the digest of one plain local-training pass, which no
 round-loop code touches.  When the canary matches, every record must match
-exactly.  When it does not (another machine), the test still checks
-everything that does not depend on floating-point kernels exactly (times,
-totals, drops, folds), the losses to 1e-6 relative, and that rows which
-shared a digest when the file was written still share one here.
+exactly.  When it does not (another machine), the test still checks the
+counts (folds, drops, retries) exactly, the simulated times to 1e-12 and
+the losses to 1e-6 relative, and that rows which shared a digest when the
+file was written still share one here.
 """
 
 from __future__ import annotations
@@ -249,10 +249,17 @@ def test_golden_round_record(
     if same_numerics:
         assert actual == expected
         return
-    # Another BLAS build: kernel-independent fields stay exact.
-    for key in ("simulated_time_s", "folded_updates", "scheduling", "resilience"):
-        assert actual.get(key) == expected.get(key), key
-    assert _nan(actual["mean_loss"]) == pytest.approx(_nan(expected["mean_loss"]), rel=1e-6, nan_ok=True)
+    # Another BLAS build: counts stay exact; simulated times only pass
+    # through libm, so they may move by an ulp.
+    assert actual["folded_updates"] == expected["folded_updates"]
+    assert actual.get("resilience") == expected.get("resilience")
+    assert actual.get("scheduling", {}) == pytest.approx(expected.get("scheduling", {}), rel=1e-12)
+    assert _nan(actual["simulated_time_s"]) == pytest.approx(
+        _nan(expected["simulated_time_s"]), rel=1e-12, nan_ok=True
+    )
+    assert _nan(actual["mean_loss"]) == pytest.approx(
+        _nan(expected["mean_loss"]), rel=1e-6, nan_ok=True
+    )
     for other, digest in live_digests.items():
         shared = golden["rows"][other]["state_digest"] == expected["state_digest"]
         assert (digest == actual["state_digest"]) == shared, other
