@@ -213,6 +213,13 @@ class TestPackedArrays:
             RoutabilityDataset().packed_arrays()
 
 
+def stacked_collate(dataset, indices, dtype=np.float64):
+    """Oracle: the historical per-sample collation with ``np.stack``."""
+    features = np.stack([dataset[int(i)].features for i in indices], axis=0).astype(dtype)
+    labels = np.stack([dataset[int(i)].label for i in indices], axis=0).astype(dtype)
+    return features, labels[:, None, :, :]
+
+
 class TestCollateParity:
     """The take-based collation must match the historical stack-based path."""
 
@@ -221,7 +228,7 @@ class TestCollateParity:
         loader = DataLoader(dataset, batch_size=5)
         indices = np.array([7, 0, 3, 11, 5])
         features, labels = loader._collate(indices)
-        ref_features, ref_labels = loader._collate_stacked(indices)
+        ref_features, ref_labels = stacked_collate(dataset, indices)
         np.testing.assert_array_equal(features, ref_features)
         np.testing.assert_array_equal(labels, ref_labels)
         assert features.dtype == ref_features.dtype == np.float64
@@ -229,12 +236,10 @@ class TestCollateParity:
     def test_full_epoch_matches_stacked_reference(self):
         dataset = make_dataset()
         fast = DataLoader(dataset, batch_size=5, shuffle=True, rng=np.random.default_rng(3))
-        from repro.nn.workspace import workspaces_disabled
-
-        slow = DataLoader(dataset, batch_size=5, shuffle=True, rng=np.random.default_rng(3))
         fast_batches = [(f.copy(), y.copy()) for f, y in fast]
-        with workspaces_disabled():
-            slow_batches = list(slow)
+        order = np.arange(len(dataset))
+        np.random.default_rng(3).shuffle(order)
+        slow_batches = [stacked_collate(dataset, order[i : i + 5]) for i in range(0, len(order), 5)]
         assert len(fast_batches) == len(slow_batches)
         for (fa, ya), (fb, yb) in zip(fast_batches, slow_batches):
             np.testing.assert_array_equal(fa, fb)
@@ -243,12 +248,9 @@ class TestCollateParity:
     def test_sample_batch_matches_stacked_reference(self):
         dataset = make_dataset()
         fast = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
-        from repro.nn.workspace import workspaces_disabled
-
-        slow = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(9))
         f_fast, y_fast = fast.sample_batch()
-        with workspaces_disabled():
-            f_slow, y_slow = slow.sample_batch()
+        indices = np.random.default_rng(9).choice(len(dataset), size=4, replace=False)
+        f_slow, y_slow = stacked_collate(dataset, indices)
         np.testing.assert_array_equal(f_fast, f_slow)
         np.testing.assert_array_equal(y_fast, y_slow)
 

@@ -62,6 +62,7 @@ from repro.fl.privacy import (
 )
 from repro.fl.transport.codecs import IdentityCodec, QuantizationCodec, TopKCodec
 from repro.models import FLNet
+from repro.nn.serialization import save_state_dict
 
 SHAPES = (("conv.weight", (4, 2, 3, 3)), ("conv.bias", (4,)), ("head.weight", (1, 4)), ("alpha", ()))
 
@@ -279,12 +280,10 @@ class TestCodecFlatParity:
         assert isinstance(decoded, FlatState)
         # Sorted wire order: the decoded layout is already in sorted order.
         assert decoded.layout.sorted_permutation() is None
-        # Round-trip values agree with a dict-path decode under the
-        # disabled engine (value parity of the two representations).
-        with flat_states_disabled():
-            plain = codec.decode(codec.encode(state))
-        assert not isinstance(plain, FlatState)
-        assert states_equal(decoded, plain)
+        # Round-trip values agree with those of a flat input (value parity
+        # of the two input representations).
+        from_flat = codec.decode(codec.encode(FlatState.from_state(state)))
+        assert states_equal(decoded, from_flat)
 
 
 TINY_CONFIG = FLConfig(
@@ -511,25 +510,26 @@ class TestFlatVsDictPathBitIdentity:
 
 class TestCheckpointCompatibility:
     def test_resume_from_pre_refactor_checkpoint(self, tmp_path, make_clients, num_channels):
-        """A checkpoint written by the plain-dict path (the pre-refactor
-        on-disk format: one per-tensor .npz archive) must resume onto the
-        flat engine bit-identically to an uninterrupted dict-path run."""
+        """A checkpoint in the pre-refactor on-disk format (one per-tensor
+        .npz archive) must resume onto the flat engine bit-identically to
+        an uninterrupted run."""
         from dataclasses import replace
 
         long_config = replace(TINY_CONFIG, rounds=4)
         short_config = replace(TINY_CONFIG, rounds=2)
 
-        with flat_states_disabled():
-            uninterrupted = run_algorithm(
-                "fedavg", make_clients, num_channels, config=long_config
-            )
-            run_algorithm(
-                "fedavg",
-                make_clients,
-                num_channels,
-                config=short_config,
-                checkpoint=CheckpointManager(tmp_path),
-            )
+        uninterrupted = run_algorithm("fedavg", make_clients, num_channels, config=long_config)
+        manager = CheckpointManager(tmp_path)
+        run_algorithm(
+            "fedavg", make_clients, num_channels, config=short_config, checkpoint=manager
+        )
+        # Rewrite the saved global state from a plain dict of per-tensor
+        # arrays, the way the pre-refactor path saved it.
+        archive_path = tmp_path / f"round_{manager.saved_rounds()[-1]:05d}.npz"
+        with np.load(archive_path) as archive:
+            assert sorted(archive.files) == sorted(uninterrupted.global_state)
+            plain = {name: archive[name].copy() for name in archive.files}
+        save_state_dict(plain, archive_path)
 
         resumed = run_algorithm(
             "fedavg",

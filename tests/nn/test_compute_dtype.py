@@ -2,9 +2,9 @@
 
 Two guarantees are pinned here:
 
-* ``float64`` (the default) is the historical engine: switching workspaces
-  off must not change a single bit, and every layer/loss still produces
-  float64 everywhere.
+* ``float64`` (the default) is the historical engine: the workspace paths
+  match allocating oracles written here bit for bit, and every layer/loss
+  still produces float64 everywhere.
 * ``float32`` is a *local* fast path: layer outputs and gradients track the
   prediction dtype within float32 tolerance of the float64 results, while
   everything at the state boundary (``state_dict``, ``flat_model_state``)
@@ -133,22 +133,42 @@ class TestLayerDtypeParity:
         np.testing.assert_allclose(grad32, grad64, rtol=2e-5, atol=2e-5)
 
 
+def bincount_col2im(cols, x_shape, kh, kw, stride, padding, dilation):
+    """Oracle: the pre-engine col2im, one float64 bincount scatter.
+
+    The scatter index of every column entry is im2col of an image that
+    holds its own flat positions.
+    """
+    n, c, h, w = x_shape
+    padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
+    size = int(np.prod(padded_shape))
+    positions = np.arange(size, dtype=np.float64).reshape(padded_shape)
+    index = F.im2col(positions, kh, kw, stride, 0, dilation).astype(np.intp)
+    flat = np.bincount(index.ravel(), weights=cols.ravel(), minlength=size)
+    padded = flat.astype(cols.dtype).reshape(padded_shape)
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
 class TestWorkspaceParity:
     """Workspaces must never change float64 values beyond kernel-level ulps."""
 
     def test_conv_forward_backward_bit_identical(self):
         x = rng(4).normal(size=(3, 3, 10, 10))
         grad = rng(5).normal(size=(3, 6, 10, 10))
-        on = Conv2d(3, 6, 5, padding=2, rng=rng(6))
-        off = Conv2d(3, 6, 5, padding=2, rng=rng(6))
-        out_on = on.forward(x)
-        grad_on = on.backward(grad)
-        with workspaces_disabled():
-            out_off = off.forward(x)
-            grad_off = off.backward(grad)
+        conv = Conv2d(3, 6, 5, padding=2, rng=rng(6))
+        out_on = conv.forward(x)
+        grad_on = conv.backward(grad)
+        # The pre-workspace step: np.pad + fancy-index im2col, fresh GEMMs,
+        # bincount col2im.
+        cols = F.im2col(x, 5, 5, padding=2)
+        weight = conv.weight.data.reshape(6, -1)
+        out_off = np.matmul(weight, cols).reshape(3, 6, 10, 10) + conv.bias.data.reshape(1, -1, 1, 1)
+        grad_flat = grad.reshape(3, 6, 100)
+        grad_off = bincount_col2im(np.matmul(weight.T, grad_flat), x.shape, 5, 5, 1, 2, 1)
+        weight_grad_off = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
         np.testing.assert_array_equal(out_on, out_off)
         np.testing.assert_array_equal(grad_on, grad_off)
-        np.testing.assert_array_equal(on.weight.grad, off.weight.grad)
+        np.testing.assert_array_equal(conv.weight.grad, weight_grad_off.reshape(conv.weight.data.shape))
 
     def test_col2im_taps_match_bincount_bitwise(self):
         cases = [
@@ -163,8 +183,7 @@ class TestWorkspaceParity:
             out_w = F.conv_output_size(w, kw, stride, padding, dilation)
             cols = rng(n + c).normal(size=(n, c * kh * kw, out_h * out_w))
             engine = F.col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
-            with workspaces_disabled():
-                reference = F.col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
+            reference = bincount_col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
             np.testing.assert_array_equal(engine, reference)
 
     def test_im2col_out_path_bit_identical(self):
@@ -182,10 +201,9 @@ class TestWorkspaceParity:
         warm.forward(prediction, target)  # allocate workspace
         value_on = warm.forward(prediction, target)
         grad_on = warm.backward()
-        cold = MSELoss()
-        with workspaces_disabled():
-            value_off = cold.forward(prediction, target)
-            grad_off = cold.backward()
+        # The allocating expression form.
+        value_off = float(np.mean((prediction - target) ** 2))
+        grad_off = 2.0 * (prediction - target) / prediction.size
         assert value_on == value_off
         np.testing.assert_array_equal(grad_on, grad_off)
 

@@ -94,12 +94,57 @@ class TestCol2ImAdjoint:
         assert back[0, 0, 0, 0] == pytest.approx(4.0)
 
 
+@st.composite
+def conv_geometries(draw):
+    """A random valid (x_shape, kh, kw, stride, padding, dilation)."""
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride, padding, dilation = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    min_h = max(1, dilation * (kh - 1) + 1 - 2 * padding)
+    min_w = max(1, dilation * (kw - 1) + 1 - 2 * padding)
+    h, w = draw(st.integers(min_h, min_h + 10)), draw(st.integers(min_w, min_w + 10))
+    x_shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w)
+    return x_shape, kh, kw, stride, padding, dilation
+
+
+class TestCol2ImAdjointProperty:
+    @given(geometry=conv_geometries(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_adjoint_identity_for_random_geometry(self, geometry, seed):
+        """<im2col(x), y> == <x, col2im(y)> to 1e-12 of the summed magnitudes."""
+        x_shape, kh, kw, stride, padding, dilation = geometry
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=x_shape)
+        cols = F.im2col(x, kh, kw, stride, padding, dilation)
+        y = rng.normal(size=cols.shape)
+        folded = F.col2im(y, x_shape, kh, kw, stride, padding, dilation)
+        lhs = float(np.dot(cols.ravel(), y.ravel()))
+        rhs = float(np.dot(x.ravel(), folded.ravel()))
+        # Both sides sum the same products in different orders, so the
+        # rounding error is bounded by the sum of their magnitudes.
+        scale = float(np.dot(np.abs(cols).ravel(), np.abs(y).ravel()))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def loop_col2im(cols, x_shape, kh, kw, stride, padding, dilation):
+    """Oracle: add every tap of every output pixel into the padded image, one at a time."""
+    n, c, h, w = x_shape
+    out_h = F.conv_output_size(h, kh, stride, padding, dilation)
+    out_w = F.conv_output_size(w, kw, stride, padding, dilation)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    taps = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for ki in range(kh):
+        for kj in range(kw):
+            for oh in range(out_h):
+                for ow in range(out_w):
+                    row, col = ki * dilation + oh * stride, kj * dilation + ow * stride
+                    padded[:, :, row, col] += taps[:, :, ki, kj, oh, ow]
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
 class TestGatherIndexCaching:
-    """The im2col/col2im index arrays are memoized per geometry key."""
+    """The im2col gather indices are memoized per geometry key."""
 
     def test_repeated_calls_hit_the_cache(self):
-        from repro.nn.workspace import workspaces_disabled
-
         F._im2col_indices.cache_clear()
         F._col2im_flat_index.cache_clear()
         x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
@@ -108,17 +153,17 @@ class TestGatherIndexCaching:
         np.testing.assert_array_equal(first, second)
         info = F._im2col_indices.cache_info()
         assert info.hits >= 1 and info.misses == 1
-        cols = np.random.default_rng(1).normal(size=first.shape)
-        # The bincount reference path (workspaces disabled) memoizes the
-        # flattened scatter index; the tap-accumulation engine path must
-        # reproduce it bit for bit.
-        with workspaces_disabled():
-            reference = F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
-            F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
+        # The workspace path gathers through the memoized flat index.
+        out = np.empty_like(first)
+        padded = np.zeros((2, 3, 10, 10))
+        for _ in range(2):
+            F.im2col(x, 3, 3, stride=1, padding=1, out=out, padded_out=padded)
         flat_info = F._col2im_flat_index.cache_info()
         assert flat_info.hits >= 1 and flat_info.misses == 1
+        np.testing.assert_array_equal(out, first)
+        cols = np.random.default_rng(1).normal(size=first.shape)
         engine = F.col2im(cols, x.shape, 3, 3, stride=1, padding=1)
-        np.testing.assert_array_equal(engine, reference)
+        np.testing.assert_array_equal(engine, loop_col2im(cols, x.shape, 3, 3, 1, 1, 1))
 
     def test_cached_indices_are_read_only(self):
         for index in F._im2col_indices(2, 3, 3, 4, 4, 1, 1):

@@ -1,13 +1,14 @@
-"""Parity suite for the fused/compiled convolution kernels.
+"""Parity suite for the fused convolution kernels.
 
-The compute-saturation engine (``repro.nn.kernels``) promises that the
-fused col2im scatter and the single-image weight-gradient GEMM collapse are
-**bit-identical** to the reference paths — float64 exactly, and float32
-exactly too (the fusions never reassociate an IEEE operation, they only
-skip buffer traffic).  This suite pins that promise across seeded random
-geometries (stride/padding/dilation/odd shapes), both dtypes, the flag
-round-trips, the stacked pre-PR-5 reproduction, and a numerical gradcheck
-through the fused path.
+The kernels in ``repro.nn.kernels`` promise that the fused col2im scatter
+and the single-image weight-gradient GEMM collapse are **bit-identical** to
+the textbook forms — float64 exactly, and float32 exactly too (the fusions
+never reassociate an IEEE operation, they only skip buffer traffic).  This
+suite compares them with short oracles written here — padded tap
+accumulation, the float64 bincount scatter, batched matmul plus sum, and a
+whole conv step built from those — across seeded random geometries
+(stride/padding/dilation/odd shapes) and both dtypes, and runs a numerical
+gradcheck through the fused path.
 """
 
 from __future__ import annotations
@@ -25,8 +26,51 @@ from repro.nn import (
     max_relative_error,
     workspaces_disabled,
 )
-from repro.nn.functional import col2im, conv_output_size
+from repro.nn.functional import col2im, conv_output_size, im2col
 from repro.nn.kernels import fused_col2im, grad_weight_gemm
+
+
+def tap_col2im(cols, x_shape, kh, kw, stride, padding, dilation):
+    """Oracle: accumulate each kernel tap into a zeroed padded image, then unpad."""
+    n, c, h, w = x_shape
+    out_h = conv_output_size(h, kh, stride, padding, dilation)
+    out_w = conv_output_size(w, kw, stride, padding, dilation)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    taps = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for ki in range(kh):
+        for kj in range(kw):
+            row, col = ki * dilation, kj * dilation
+            padded[
+                :, :, row : row + stride * out_h : stride, col : col + stride * out_w : stride
+            ] += taps[:, :, ki, kj]
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def bincount_col2im(cols, x_shape, kh, kw, stride, padding, dilation):
+    """Oracle: one float64 bincount scatter over the padded image.
+
+    The scatter index of every column entry is im2col of an image that
+    holds its own flat positions.
+    """
+    n, c, h, w = x_shape
+    padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
+    size = int(np.prod(padded_shape))
+    positions = np.arange(size, dtype=np.float64).reshape(padded_shape)
+    index = im2col(positions, kh, kw, stride, 0, dilation).astype(np.intp)
+    flat = np.bincount(index.ravel(), weights=cols.ravel(), minlength=size)
+    padded = flat.astype(cols.dtype).reshape(padded_shape)
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def batched_grad_weight(grad_flat, cols):
+    """Oracle: the weight-gradient contraction as batched matmul plus sum."""
+    return np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def staged_grad_weight(grad_flat, cols):
+    """``grad_weight_gemm`` with a fresh staging buffer, copied out."""
+    stage = np.empty((grad_flat.shape[0], grad_flat.shape[1], cols.shape[1]), grad_flat.dtype)
+    return np.array(grad_weight_gemm(grad_flat, cols, stage=stage))
 
 
 def random_geometries(seed: int, count: int):
@@ -60,8 +104,7 @@ class TestFusedCol2im:
             out_w = conv_output_size(w, kw, stride, padding, dilation)
             cols = rng.standard_normal((n, c * kh * kw, out_h * out_w)).astype(dtype)
             fused = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
-            with compiled_kernels_disabled():
-                reference = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
+            reference = tap_col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
             assert fused.dtype == reference.dtype == dtype
             # Bit-identity, not allclose: the fusion must not change a
             # single IEEE operation.
@@ -70,17 +113,15 @@ class TestFusedCol2im:
             )
 
     def test_float64_matches_pre_pr5_bincount_path(self):
-        # compiled_kernels_disabled() + workspaces_disabled() is the pre-PR-5
-        # engine (float64 bincount scatter); the fused default must still
-        # reproduce it bit for bit in float64.
+        # The float64 bincount scatter was the engine before PR 5; the fused
+        # kernel must still reproduce it bit for bit in float64.
         rng = np.random.default_rng(13)
         for n, c, h, w, kh, kw, stride, padding, dilation in random_geometries(17, 15):
             out_h = conv_output_size(h, kh, stride, padding, dilation)
             out_w = conv_output_size(w, kw, stride, padding, dilation)
             cols = rng.standard_normal((n, c * kh * kw, out_h * out_w))
             fused = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
-            with compiled_kernels_disabled(), workspaces_disabled():
-                historical = col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
+            historical = bincount_col2im(cols, (n, c, h, w), kh, kw, stride, padding, dilation)
             assert np.array_equal(fused, historical)
 
     def test_direct_kernel_matches_col2im_dispatch(self):
@@ -103,8 +144,7 @@ class TestFusedCol2im:
         out_h = conv_output_size(h, kh, 1, 0, 1)
         cols = rng.standard_normal((n, c * kh * kw, out_h * out_h))
         fused = col2im(cols, (n, c, h, w), kh, kw, 1, 0, 1)
-        with compiled_kernels_disabled():
-            reference = col2im(cols, (n, c, h, w), kh, kw, 1, 0, 1)
+        reference = tap_col2im(cols, (n, c, h, w), kh, kw, 1, 0, 1)
         assert np.array_equal(fused, reference)
 
 
@@ -115,9 +155,8 @@ class TestGradWeightGemm:
         for out_channels, ck, length in ((4, 18, 25), (1, 1, 1), (7, 150, 196)):
             grad_flat = rng.standard_normal((1, out_channels, length)).astype(dtype)
             cols = rng.standard_normal((1, ck, length)).astype(dtype)
-            collapsed = grad_weight_gemm(grad_flat, cols)
-            with compiled_kernels_disabled():
-                reference = grad_weight_gemm(grad_flat, cols)
+            collapsed = staged_grad_weight(grad_flat, cols)
+            reference = batched_grad_weight(grad_flat, cols)
             assert collapsed.shape == (out_channels, ck)
             assert np.array_equal(collapsed, reference)
 
@@ -128,60 +167,90 @@ class TestGradWeightGemm:
             cols = rng.standard_normal((n, 6, 10))
             stage = np.empty((n, 4, 6))
             staged = grad_weight_gemm(grad_flat, cols, stage=stage)
-            unstaged = grad_weight_gemm(grad_flat, cols)
+            unstaged = batched_grad_weight(grad_flat, cols)
             assert np.array_equal(np.asarray(staged), unstaged)
 
     def test_multi_image_batches_keep_reference_form(self):
         # Batches larger than one must not be collapsed (that would
-        # reassociate the per-image partial sums); enabled and disabled
-        # paths are literally the same computation.
+        # reassociate the per-image partial sums): the kernel is literally
+        # the batched matmul plus sum.
         rng = np.random.default_rng(31)
         grad_flat = rng.standard_normal((4, 5, 12))
         cols = rng.standard_normal((4, 9, 12))
-        enabled = grad_weight_gemm(grad_flat, cols)
-        with compiled_kernels_disabled():
-            disabled = grad_weight_gemm(grad_flat, cols)
-        assert np.array_equal(enabled, disabled)
+        assert np.array_equal(staged_grad_weight(grad_flat, cols), batched_grad_weight(grad_flat, cols))
+
+
+def conv2d_step_oracle(layer, x, grad):
+    """Oracle Conv2d step: allocating im2col, fresh GEMMs, tap col2im.
+
+    Returns ``(output, grad_input, grad_weight, grad_bias)``.
+    """
+    x = np.asarray(x, dtype=layer.compute_dtype)
+    grad = np.asarray(grad, dtype=layer.compute_dtype)
+    n, _, h, w = x.shape
+    kh, kw = layer.kernel_size
+    geometry = (layer.stride, layer.padding, layer.dilation)
+    cols = im2col(x, kh, kw, *geometry)
+    weight = layer.weight.data.reshape(layer.out_channels, -1)
+    out = np.matmul(weight, cols).reshape(n, layer.out_channels, *layer.output_shape(h, w))
+    out = out + layer.bias.data.reshape(1, -1, 1, 1)
+    grad_flat = grad.reshape(n, layer.out_channels, -1)
+    grad_input = tap_col2im(np.matmul(weight.T, grad_flat), x.shape, kh, kw, *geometry)
+    grad_weight = batched_grad_weight(grad_flat, cols).reshape(layer.weight.data.shape)
+    return out, grad_input, grad_weight, grad_flat.sum(axis=(0, 2))
+
+
+def conv_transpose2d_step_oracle(layer, x, grad):
+    """Oracle ConvTranspose2d step: fresh GEMMs, tap col2im, allocating im2col."""
+    n, _, h, w = x.shape
+    kh, kw = layer.kernel_size
+    x_flat = x.reshape(n, layer.in_channels, h * w)
+    weight = layer.weight.data.reshape(layer.in_channels, -1)
+    out_shape = (n, layer.out_channels) + layer.output_shape(h, w)
+    cols = np.matmul(weight.T, x_flat)
+    out = tap_col2im(cols, out_shape, kh, kw, layer.stride, layer.padding, 1)
+    out = out + layer.bias.data.reshape(1, -1, 1, 1)
+    grad_cols = im2col(grad, kh, kw, layer.stride, layer.padding)
+    grad_input = np.matmul(weight, grad_cols).reshape(x.shape)
+    grad_weight = batched_grad_weight(x_flat, grad_cols).reshape(layer.weight.data.shape)
+    return out, grad_input, grad_weight, grad.sum(axis=(0, 2, 3))
+
+
+def assert_step_matches(layer, x, grad, expected):
+    out = layer(x)
+    grad_input = layer.backward(grad)
+    for name, got, want in zip(
+        ("output", "grad_input", "grad_weight", "grad_bias"),
+        (out, grad_input, layer.weight.grad, layer.bias.grad),
+        expected,
+    ):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 class TestLayerParity:
     @pytest.mark.parametrize("dtype_name", ["float64", "float32"])
     @pytest.mark.parametrize("batch", [1, 2])
     def test_conv2d_full_step_bit_identity(self, dtype_name, batch):
-        fused = Conv2d(3, 5, 3, stride=1, padding=2, dilation=2, rng=np.random.default_rng(41))
-        reference = Conv2d(3, 5, 3, stride=1, padding=2, dilation=2, rng=np.random.default_rng(41))
-        if dtype_name == "float32":
-            fused.set_compute_dtype(np.float32)
-            reference.set_compute_dtype(np.float32)
+        layer = Conv2d(3, 5, 3, stride=1, padding=2, dilation=2, rng=np.random.default_rng(41))
+        layer.set_compute_dtype(dtype_name)
         x = np.random.default_rng(43).standard_normal((batch, 3, 11, 11))
-        grad = np.random.default_rng(44).standard_normal(fused(x).shape)
-        grad_in_fused = fused.backward(grad)
-        with compiled_kernels_disabled():
-            reference(x)
-            grad_in_reference = reference.backward(grad)
-        assert np.array_equal(grad_in_fused, grad_in_reference)
-        assert np.array_equal(fused.weight.grad, reference.weight.grad)
-        assert np.array_equal(fused.bias.grad, reference.bias.grad)
+        grad = np.random.default_rng(44).standard_normal((batch, 5, 11, 11))
+        expected = conv2d_step_oracle(layer, x, grad)
+        assert_step_matches(layer, x, grad, expected)
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_conv_transpose2d_full_step_bit_identity(self, batch):
-        fused = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
-        reference = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
+        layer = ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=np.random.default_rng(47))
         x = np.random.default_rng(48).standard_normal((batch, 4, 6, 6))
-        grad = np.random.default_rng(49).standard_normal(fused(x).shape)
-        grad_in_fused = fused.backward(grad)
-        with compiled_kernels_disabled():
-            reference(x)
-            grad_in_reference = reference.backward(grad)
-        assert np.array_equal(grad_in_fused, grad_in_reference)
-        assert np.array_equal(fused.weight.grad, reference.weight.grad)
-        assert np.array_equal(fused.bias.grad, reference.bias.grad)
+        grad = np.random.default_rng(49).standard_normal((batch, 2, 12, 12))
+        expected = conv_transpose2d_step_oracle(layer, x, grad)
+        assert_step_matches(layer, x, grad, expected)
 
     def test_gradcheck_through_fused_path(self):
         # The fused backward must agree with numerical differentiation, not
         # just with the reference implementation.  batch=1 also drives the
         # grad_weight GEMM collapse through the numerical check.
-        assert compiled_kernels_enabled()
         layer = Conv2d(2, 3, 3, stride=2, padding=1, rng=np.random.default_rng(53))
         x = np.random.default_rng(54).standard_normal((1, 2, 7, 7))
         analytic, numeric = check_layer_input_gradient(layer, x)
