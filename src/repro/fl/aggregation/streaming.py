@@ -21,7 +21,6 @@ from repro.fl.parameters import (
     StateLayout,
     state_vector,
     weighted_average,
-    wrap_flat,
 )
 
 #: Aggregation modes understood by :func:`create_aggregator` (and the CLI).
@@ -164,7 +163,7 @@ class StreamingAccumulator(UpdateAccumulator):
             )
         if self._weight_total <= 0:
             raise ValueError("weights must not all be zero")
-        return wrap_flat(self._layout, self._sum / self._weight_total)
+        return FlatState(self._layout, self._sum / self._weight_total)
 
     @property
     def count(self) -> int:
@@ -294,9 +293,9 @@ class StreamingDeltaAccumulator:
                 folded_vector += scale * (
                     state_vector(update, layout) - state_vector(dispatch, layout)
                 )
-            return wrap_flat(layout, folded_vector)
+            return FlatState(layout, folded_vector)
         layout = self._layout
-        return wrap_flat(
+        return FlatState(
             layout, state_vector(global_state, layout) + self._delta_sum / total
         )
 

@@ -25,7 +25,6 @@ from repro.fl.parameters import (
     State,
     average_pairwise_distance,
     state_vector,
-    wrap_flat,
     zeros_like_state,
 )
 
@@ -64,8 +63,8 @@ class FedAvgM(FederatedAlgorithm):
                 layout = global_state.layout
                 delta = global_state.vector - state_vector(average, layout)
                 velocity = self.server_momentum * state_vector(self._velocity, layout) + delta
-                self._velocity = wrap_flat(layout, velocity)
-                global_state = wrap_flat(layout, global_state.vector - velocity)
+                self._velocity = FlatState(layout, velocity)
+                global_state = FlatState(layout, global_state.vector - velocity)
             else:
                 for name in global_state:
                     delta = global_state[name] - average[name]

@@ -20,7 +20,6 @@ from repro.fl.parameters import (
     merge_partition,
     state_vector,
     weighted_average,
-    wrap_flat,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -202,7 +201,7 @@ class FederatedServer:
             mixed = alpha * own + (1.0 - alpha) * (
                 (weighted_sum - weights[client_id] * own) / remaining
             )
-            result[client_id] = wrap_flat(layout, mixed)
+            result[client_id] = FlatState(layout, mixed)
         return result
 
     def partition_merge(self, global_state: State, local_state: State, local_names: Iterable[str]) -> State:

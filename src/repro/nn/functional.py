@@ -5,12 +5,11 @@ convolution is lowered to one large matrix multiplication per batch, which is
 the only way to get acceptable throughput out of NumPy.  All functions work on
 ``NCHW`` tensors and support stride, symmetric zero padding, and dilation.
 
-The im2col/col2im gather indices depend only on the layer geometry and the
-input spatial shape — both fixed across a training run — so they are built
-once and memoized (:func:`_im2col_indices`, :func:`_col2im_flat_index`,
-:func:`_col2im_batch_index`) instead of being recomputed on every
-forward/backward call.  Cached arrays are marked read-only; they are only
-ever used as gather/scatter indices.
+The im2col gather indices depend only on the layer geometry and the input
+spatial shape — both fixed across a training run — so they are built once
+and memoized (:func:`_im2col_indices`, :func:`_im2col_flat_index`) instead
+of being recomputed on every forward/backward call.  Cached arrays are
+marked read-only; they are only ever used as gather indices.
 
 Workspace fast path
 -------------------
@@ -22,15 +21,13 @@ always in range, so clipping never engages) and padding becomes an interior
 copy into a border-zeroed buffer instead of a fresh ``np.pad`` allocation.
 Both paths gather exactly the same elements — results are bit-identical —
 the workspace path just stops paying an allocation + page-fault per call.
+The allocating path (``out=None``) serves the pooling layers.
 
 Dtype rules
 -----------
 Everything here is dtype-preserving: float32 inputs produce float32
 outputs (the compute-dtype fast path), float64 stays float64 bit for bit.
-:func:`col2im` accumulates in the columns' own dtype on the engine path
-(bit-identical to the historical float64 bincount for float64 inputs — the
-per-cell addition order is the same; see its docstring) and falls back to
-the float64 bincount scatter when workspaces are disabled.
+:func:`col2im` accumulates in the columns' own dtype.
 """
 
 from __future__ import annotations
@@ -40,8 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.kernels import compiled_kernels_enabled, fused_col2im, gather_into
-from repro.nn.workspace import workspaces_enabled
+from repro.nn.kernels import fused_col2im, gather_into
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation: int = 1) -> int:
@@ -101,7 +97,7 @@ def _im2col_indices(
 
 
 @lru_cache(maxsize=256)
-def _col2im_flat_index(
+def _im2col_flat_index(
     channels: int,
     kernel_h: int,
     kernel_w: int,
@@ -112,11 +108,10 @@ def _col2im_flat_index(
     h_padded: int,
     w_padded: int,
 ) -> np.ndarray:
-    """Flattened per-image gather/scatter indices into ``(c, h_padded, w_padded)``.
+    """Flattened per-image gather indices into ``(c, h_padded, w_padded)``.
 
-    Used both as :func:`col2im`'s scatter target and as :func:`im2col`'s
-    flat gather source (the two operations are adjoint, so the index map is
-    the same).  Memoized; read-only.
+    :func:`im2col`'s workspace path gathers through them in one
+    ``np.take``.  Memoized; read-only.
     """
     k, i, j = _im2col_indices(channels, kernel_h, kernel_w, out_h, out_w, stride, dilation)
     base_index = (k * h_padded + i) * w_padded + j  # (c*kh*kw, out_h*out_w)
@@ -170,7 +165,7 @@ def im2col(
         else:
             x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
     if out is not None and x.flags.c_contiguous:
-        flat_index = _col2im_flat_index(
+        flat_index = _im2col_flat_index(
             c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h + 2 * padding, w + 2 * padding
         )
         # One flat gather straight into the reused buffer (np.take's
@@ -202,27 +197,12 @@ def col2im(
     The result has ``cols``'s dtype and is always freshly allocated (it is
     a layer's returned value, never workspace scratch).
 
-    Three equivalent accumulation engines, selected by the parity flags:
-
-    * **Fused clipped scatter** (the default): col2im fused with the unpad
-      slice — each tap lands directly in the unpadded result over the
-      clipped output range the slice would keep (see
-      :func:`repro.nn.kernels.fused_col2im`).  Same per-cell addition
-      order as tap accumulation, so bit-identical, without the padded
-      temporary.
-    * **Tap accumulation** (under
-      :func:`repro.nn.kernels.compiled_kernels_disabled`, the PR 5/6
-      engine): one vectorized ``+=`` per kernel
-      position into strided slices of the padded image.  For every output
-      cell the contributions arrive in ascending ``(ki, kj)`` order —
-      exactly the order the flattened-bincount scatter visits them — so for
-      a given dtype the result is **bit-identical** to the historical
-      bincount path (asserted by ``tests/nn``); float32 columns accumulate
-      natively in float32, which is where the fast path's bandwidth win
-      comes from.
-    * **Flattened bincount** (the pre-engine path, float64 accumulation),
-      kept under :func:`repro.nn.workspace.workspaces_disabled` as the
-      reproducible baseline.
+    Each kernel tap is scattered straight into the unpadded result over the
+    clipped output range that survives the unpad slice (see
+    :func:`repro.nn.kernels.fused_col2im`).  For every output cell the
+    contributions arrive in ascending ``(ki, kj)`` order, so the result is
+    bit-identical to accumulating taps into a padded image and, in float64,
+    to a flattened bincount scatter (``tests/nn`` asserts both).
     """
     n, c, h, w = x_shape
     out_h = conv_output_size(h, kernel_h, stride, padding, dilation)
@@ -230,44 +210,7 @@ def col2im(
     expected = (n, c * kernel_h * kernel_w, out_h * out_w)
     if cols.shape != expected:
         raise ValueError(f"col2im expected columns of shape {expected}, got {cols.shape}")
-    h_padded, w_padded = h + 2 * padding, w + 2 * padding
-    if workspaces_enabled() and compiled_kernels_enabled():
-        # Fused engine: scatter each tap directly into the unpadded result,
-        # clipping tap ranges to the rows/columns the unpad slice would
-        # keep.  Same per-cell addition order as the padded tap path below,
-        # so bit-identical — minus the padded temporary and interior copy.
-        return fused_col2im(
-            cols, x_shape, kernel_h, kernel_w, out_h, out_w, stride, padding, dilation
-        )
-    if workspaces_enabled():
-        padded = np.zeros((n, c, h_padded, w_padded), dtype=cols.dtype)
-        taps = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-        for ki in range(kernel_h):
-            row = ki * dilation
-            for kj in range(kernel_w):
-                col = kj * dilation
-                padded[
-                    :,
-                    :,
-                    row : row + stride * out_h : stride,
-                    col : col + stride * out_w : stride,
-                ] += taps[:, :, ki, kj]
-    else:
-        # Scatter-add via bincount over flattened indices: the historical
-        # engine (always accumulates in float64, then casts).
-        per_image = c * h_padded * w_padded
-        base_index = _col2im_flat_index(
-            c, kernel_h, kernel_w, out_h, out_w, stride, dilation, h_padded, w_padded
-        )
-        offsets = np.arange(n) * per_image
-        flat_index = (offsets[:, None, None] + base_index[None, :, :]).ravel()
-        flat = np.bincount(flat_index, weights=cols.ravel(), minlength=n * per_image)
-        if flat.dtype != cols.dtype:
-            flat = flat.astype(cols.dtype)
-        padded = flat.reshape(n, c, h_padded, w_padded)
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    return fused_col2im(cols, x_shape, kernel_h, kernel_w, out_h, out_w, stride, padding, dilation)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

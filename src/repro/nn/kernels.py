@@ -1,18 +1,18 @@
 """Fused convolution kernels.
 
-This module holds the compute-saturation kernel layer that sits underneath
-:mod:`repro.nn.functional` and the conv layers:
+This module holds the kernels that sit underneath :mod:`repro.nn.functional`
+and the conv layers:
 
-* :func:`fused_col2im` — col2im fused with the unpad slice.  The reference
-  path (``functional.col2im``) accumulates taps into a zero-initialized
-  **padded** buffer ``(n, c, h+2p, w+2p)`` and then slices the interior,
-  paying an allocation + zero-fill of the border and a full interior copy
-  per call.  The fused kernel scatters each kernel tap **directly into the
-  unpadded output** by clipping the tap's output-pixel range to the rows and
-  columns that survive the unpad slice.  Contributions that the reference
+* :func:`fused_col2im` — col2im fused with the unpad slice.  The textbook
+  form accumulates taps into a zero-initialized **padded** buffer
+  ``(n, c, h+2p, w+2p)`` and then slices the interior, paying an
+  allocation + zero-fill of the border and a full interior copy per call.
+  The fused kernel scatters each kernel tap **directly into the unpadded
+  output** by clipping the tap's output-pixel range to the rows and columns
+  that survive the unpad slice.  Contributions that the padded form
   discards are exactly the ones the clipped ranges skip, and surviving
-  contributions are applied in the same ascending ``(ki, kj)`` tap order, so
-  for every destination cell the IEEE addition sequence is unchanged —
+  contributions are applied in the same ascending ``(ki, kj)`` tap order,
+  so for every destination cell the IEEE addition sequence is unchanged —
   **bit-identical by construction**, for both dtypes.
 * :func:`grad_weight_gemm` — the weight-gradient contraction
   ``sum_i grad[i] @ cols[i].T``.  When the batch is a single image the
@@ -20,10 +20,9 @@ This module holds the compute-saturation kernel layer that sits underneath
   same operands (the "where shapes permit" fusion), skipping the
   ``sum(axis=0)`` pass entirely.
 
-Everything is gated by :func:`compiled_kernels_disabled`, a parity flag in
-the exact mold of :func:`repro.nn.workspace.workspaces_disabled`: disabling
-it restores the PR 5/6 tap-accumulation engine, and disabling **both** flags
-restores the pre-PR-5 bincount path.
+``tests/nn/test_kernels.py`` compares both with the textbook forms (padded
+tap accumulation, the float64 bincount scatter, batched matmul plus sum)
+bit for bit.
 
 Why the two backward GEMMs are *not* one batched matmul
 -------------------------------------------------------
@@ -43,29 +42,9 @@ scheduling (:mod:`repro.utils.threadpools`), not from reassociating math.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-_ENABLED = True
-
-
-def compiled_kernels_enabled() -> bool:
-    """Whether the fused kernel paths are active (the default)."""
-    return _ENABLED
-
-
-@contextmanager
-def compiled_kernels_disabled():
-    """Run with the unfused reference kernels (the PR 5/6 engine) for parity tests."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def _tap_range(offset: int, stride: int, size: int, out_size: int) -> Tuple[int, int]:
@@ -75,7 +54,7 @@ def _tap_range(offset: int, stride: int, size: int, out_size: int) -> Tuple[int,
     A tap at kernel position ``k`` writes destination index
     ``offset + stride * o`` (``offset = k * dilation - padding``) for output
     pixel ``o``; the range keeps exactly the ``o`` with destination in
-    ``[0, size)`` — the contributions the reference path's unpad slice
+    ``[0, size)`` — the contributions the padded form's unpad slice
     retains.
     """
     if offset >= 0:
@@ -99,8 +78,8 @@ def fused_col2im(
 ) -> np.ndarray:
     """col2im fused with the unpad slice: scatter taps straight into ``x_shape``.
 
-    Bit-identical to the reference pad-accumulate-slice path for every dtype
-    (see the module docstring for the argument); the win is skipping the
+    Bit-identical to the pad-accumulate-slice form for every dtype (see
+    the module docstring for the argument); the win is skipping the
     padded temporary's allocation + border zero-fill and the interior copy —
     for the paper's 9x9/padding-4 layers the padded buffer is ~19% larger
     than the output it is sliced down to, freed and refilled every step.
@@ -142,29 +121,22 @@ def gather_into(flat_x: np.ndarray, flat_index: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-def grad_weight_gemm(
-    grad_flat: np.ndarray, cols: np.ndarray, stage: Optional[np.ndarray] = None
-) -> np.ndarray:
+def grad_weight_gemm(grad_flat: np.ndarray, cols: np.ndarray, stage: np.ndarray) -> np.ndarray:
     """The conv weight-gradient contraction ``sum_i grad_flat[i] @ cols[i].T``.
 
-    Reference form: one batched matmul into ``stage`` followed by a
+    Textbook form: one batched matmul into ``stage`` followed by a
     ``sum(axis=0)`` reduction pass.  When the batch holds a single image
     the reduction is the identity and the whole thing collapses to one 2-D
     GEMM over the same operands — same BLAS call, same IEEE sequence, no
-    reduction pass (bit-identity asserted by the parity suite).  Larger
-    batches keep the reference form: collapsing them would reassociate the
-    per-image partial sums, which is exactly the reordering that breaks
-    float64 bit-identity (module docstring).
+    reduction pass.  Larger batches keep the batched form: collapsing them
+    would reassociate the per-image partial sums, which is exactly the
+    reordering that breaks float64 bit-identity (module docstring).
 
-    ``stage`` is the optional ``(n, rows, cols)`` workspace staging buffer;
-    the returned array may alias it and must be consumed before the owning
+    ``stage`` is the ``(n, rows, cols)`` workspace staging buffer; the
+    returned array may alias it and must be consumed before the owning
     layer's next step (the standard workspace contract).
     """
-    if _ENABLED and grad_flat.shape[0] == 1:
-        if stage is not None:
-            return np.matmul(grad_flat[0], cols[0].transpose(), out=stage[0])
-        return np.matmul(grad_flat[0], cols[0].transpose())
-    if stage is not None:
-        np.matmul(grad_flat, cols.transpose(0, 2, 1), out=stage)
-        return stage.sum(axis=0)
-    return np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+    if grad_flat.shape[0] == 1:
+        return np.matmul(grad_flat[0], cols[0].transpose(), out=stage[0])
+    np.matmul(grad_flat, cols.transpose(0, 2, 1), out=stage)
+    return stage.sum(axis=0)

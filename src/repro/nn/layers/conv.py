@@ -131,11 +131,9 @@ class Conv2d(Module):
         if self.use_bias:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
 
-        grad_cols_buf = self._ws.get("grad_cols", cols.shape, dtype)
-        if grad_cols_buf is None:
-            grad_cols = np.matmul(weight_matrix.T, grad_flat)
-        else:
-            grad_cols = np.matmul(weight_matrix.T, grad_flat, out=grad_cols_buf)
+        grad_cols = np.matmul(
+            weight_matrix.T, grad_flat, out=self._ws.get("grad_cols", cols.shape, dtype)
+        )
         kh, kw = self.kernel_size
         grad_input = col2im(
             grad_cols, x_shape, kh, kw, self.stride, self.padding, self.dilation
@@ -214,11 +212,11 @@ class ConvTranspose2d(Module):
         out_h, out_w = self.output_shape(h, w)
         x_flat = x.reshape(n, self.in_channels, h * w)
         weight_matrix = self.weight.data.reshape(self.in_channels, -1)
-        cols_buf = self._ws.get("cols", (n, weight_matrix.shape[1], h * w), x.dtype)
-        if cols_buf is None:
-            cols = np.matmul(weight_matrix.T, x_flat)
-        else:
-            cols = np.matmul(weight_matrix.T, x_flat, out=cols_buf)
+        cols = np.matmul(
+            weight_matrix.T,
+            x_flat,
+            out=self._ws.get("cols", (n, weight_matrix.shape[1], h * w), x.dtype),
+        )
         out = col2im(
             cols,
             (n, self.out_channels, out_h, out_w),

@@ -66,18 +66,15 @@ class MSELoss(Loss):
     def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
         prediction, target = _as_float_pair(prediction, target)
         self._validate(prediction, target)
-        diff = self._ws.get("diff", prediction.shape, prediction.dtype)
-        if diff is None:
-            diff = prediction - target
-        else:
-            np.subtract(prediction, target, out=diff)
+        diff = np.subtract(
+            prediction, target, out=self._ws.get("diff", prediction.shape, prediction.dtype)
+        )
         self._cache = (diff,)
-        square = self._ws.get("square", prediction.shape, prediction.dtype)
-        if square is None:
-            return float(np.mean(diff**2))
-        # diff**2 with the integer exponent lowers to diff * diff, so the
-        # staged form is bit-identical to the expression form.
-        np.multiply(diff, diff, out=square)
+        # diff * diff is what diff**2 lowers to, so the staged form is
+        # bit-identical to the expression form.
+        square = np.multiply(
+            diff, diff, out=self._ws.get("square", prediction.shape, prediction.dtype)
+        )
         return float(np.mean(square))
 
     def backward(self) -> np.ndarray:

@@ -26,39 +26,16 @@ Aliasing rules (see ``docs/performance.md``)
 * Workspaces never cross layer instances, so thread-parallel clients (each
   with their own model) never share scratch.
 
-The global switch :func:`workspaces_disabled` restores the pre-workspace
-allocating behavior (``np.pad`` + fresh fancy-indexing + fresh matmuls).
-It exists for parity tests and as the reproducible "pre-PR" baseline of
-``benchmarks/test_training_engine.py``; both paths compute bit-identical
-values — buffer reuse never changes an IEEE operation, only where the
-result lands.
+Buffer reuse never changes an IEEE operation, only where the result lands:
+``tests/nn`` compares every workspace path with an allocating oracle bit
+for bit.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
-
-_ENABLED = True
-
-
-def workspaces_enabled() -> bool:
-    """Whether layers reuse persistent scratch buffers (the default)."""
-    return _ENABLED
-
-
-@contextmanager
-def workspaces_disabled():
-    """Run with per-call allocations (the pre-workspace path) for parity tests."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 class Workspace:
@@ -71,9 +48,6 @@ class Workspace:
     buffer, whose interior is rewritten every step while the border is
     written only once).
 
-    When workspaces are globally disabled both methods return ``None`` and
-    callers fall back to their allocating expressions.
-
     The pool intentionally does not survive pickling: models travel to
     process-pool workers as part of a client, and shipping warm scratch
     would only bloat the payload.  The receiving side re-grows its own
@@ -85,10 +59,8 @@ class Workspace:
     def __init__(self):
         self._buffers: Dict[Tuple[str, Tuple[int, ...], np.dtype], np.ndarray] = {}
 
-    def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> Optional[np.ndarray]:
+    def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """The persistent buffer for ``(tag, shape, dtype)`` (lazy, reused)."""
-        if not _ENABLED:
-            return None
         key = (tag, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(key)
         if buffer is None:
@@ -96,10 +68,8 @@ class Workspace:
             self._buffers[key] = buffer
         return buffer
 
-    def zeros(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> Optional[np.ndarray]:
+    def zeros(self, tag: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Like :meth:`get`, but the buffer is zero-filled when first allocated."""
-        if not _ENABLED:
-            return None
         key = (tag, tuple(shape), np.dtype(dtype))
         buffer = self._buffers.get(key)
         if buffer is None:

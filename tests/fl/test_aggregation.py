@@ -29,12 +29,12 @@ from repro.fl.aggregation import (
     create_aggregator,
 )
 from repro.fl.parameters import (
+    FlatState,
     StateLayout,
     aggregation_scratch_bytes,
     release_aggregation_scratch,
     state_vector,
     weighted_average,
-    wrap_flat,
 )
 from repro.fl.privacy import PrivacyConfig, privatize_update
 
@@ -209,7 +209,7 @@ def test_fedavgm_momentum_fold_parity(count, exact):
     def momentum_step(average):
         delta = state_vector(global_state, layout) - state_vector(average, layout)
         new_velocity = momentum * velocity + delta
-        return wrap_flat(layout, state_vector(global_state, layout) - new_velocity)
+        return FlatState(layout, state_vector(global_state, layout) - new_velocity)
 
     reference = momentum_step(weighted_average(states, weights))
     accumulator = StreamingAccumulator()
@@ -233,11 +233,11 @@ def _delta_cohort(seed, count):
     global_state = weighted_average(layout_states[:1], [1.0])
     layout = global_state.layout
     updates = [
-        wrap_flat(layout, state_vector(global_state, layout) + rng.standard_normal(layout.total_size))
+        FlatState(layout, state_vector(global_state, layout) + rng.standard_normal(layout.total_size))
         for _ in range(count)
     ]
     dispatches = [
-        wrap_flat(layout, state_vector(global_state, layout) + 0.1 * rng.standard_normal(layout.total_size))
+        FlatState(layout, state_vector(global_state, layout) + 0.1 * rng.standard_normal(layout.total_size))
         for _ in range(count)
     ]
     return global_state, layout, updates, dispatches, weights[:count]
@@ -263,7 +263,7 @@ def test_delta_accumulator_mixed_staleness_is_exact_arrival_order_fold():
         folded += (weight / total) * (
             state_vector(update, layout) - state_vector(dispatch, layout)
         )
-    assert vectors_equal(accumulator.result(global_state), wrap_flat(layout, folded))
+    assert vectors_equal(accumulator.result(global_state), FlatState(layout, folded))
 
 
 def test_delta_accumulator_spilled_stays_close():
@@ -278,7 +278,7 @@ def test_delta_accumulator_spilled_stays_close():
         folded += (weight / total) * (
             state_vector(update, layout) - state_vector(dispatch, layout)
         )
-    assert relative_error(accumulator.result(global_state), wrap_flat(layout, folded)) <= 1e-12
+    assert relative_error(accumulator.result(global_state), FlatState(layout, folded)) <= 1e-12
 
 
 def test_delta_accumulator_empty_returns_global_unchanged():

@@ -33,7 +33,6 @@ from repro.fl import (
     FlatState,
     ProcessPoolBackend,
     SeededModelFactory,
-    SerialBackend,
     StateLayout,
     ThreadPoolBackend,
     create_algorithm,
@@ -41,11 +40,8 @@ from repro.fl import (
 )
 from repro.fl import parameters as P
 from repro.fl.parameters import (
-    as_flat_state,
     clone_state,
-    flat_states_disabled,
     interpolate,
-    reference_mode,
     reference_weighted_average,
     state_digest,
     state_vector,
@@ -183,21 +179,6 @@ class TestWeightedAverageGEMV:
         flats = [FlatState.from_state(s) for s in states]
         mixed = [flats[0], FlatState.from_items(list(states[1].items())[::-1])] + flats[2:]
         assert states_equal(weighted_average(flats, weights), weighted_average(mixed, weights))
-
-    def test_reference_mode_routes_to_old_loop(self):
-        states = [random_state(seed) for seed in range(3)]
-        weights = [1.0, 2.0, 3.0]
-        with reference_mode():
-            via_mode = weighted_average(states, weights)
-        assert states_equal(via_mode, reference_weighted_average(states, weights))
-
-    def test_result_is_plain_dict_when_engine_disabled(self):
-        states = [random_state(seed) for seed in range(3)]
-        flat_result = weighted_average(states, [1.0, 1.0, 1.0])
-        with flat_states_disabled():
-            dict_result = weighted_average(states, [1.0, 1.0, 1.0])
-        assert not isinstance(dict_result, FlatState)
-        assert states_equal(dict_result, flat_result)
 
 
 class TestElementwiseBitParity:
@@ -602,12 +583,6 @@ class TestEngineHelpers:
         np.testing.assert_array_equal(
             aligned, np.concatenate([state[n].ravel() for n, _ in reversed_layout.entries])
         )
-
-    def test_as_flat_state_respects_flag(self):
-        state = random_state(31)
-        assert isinstance(as_flat_state(state), FlatState)
-        with flat_states_disabled():
-            assert as_flat_state(state) is state
 
     def test_flat_model_state_matches_state_dict(self, num_channels):
         model = FLNet(num_channels, hidden_filters=8, kernel_size=5, seed=0)

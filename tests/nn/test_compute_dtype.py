@@ -29,8 +29,6 @@ from repro.nn import (
     Workspace,
     make_loss,
     resolve_compute_dtype,
-    workspaces_disabled,
-    workspaces_enabled,
 )
 from repro.nn import functional as F
 from repro.models import FLNet
@@ -232,14 +230,6 @@ class TestWorkspaceObject:
         np.testing.assert_array_equal(buf, np.zeros(4))
         buf[:] = 7.0
         assert ws.zeros("pad", (4,)) is buf  # not re-zeroed: border contract
-
-    def test_disabled_returns_none(self):
-        ws = Workspace()
-        with workspaces_disabled():
-            assert not workspaces_enabled()
-            assert ws.get("x", (2,)) is None
-            assert ws.zeros("x", (2,)) is None
-        assert workspaces_enabled()
 
     def test_pickles_empty(self):
         ws = Workspace()

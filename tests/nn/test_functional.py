@@ -146,7 +146,7 @@ class TestGatherIndexCaching:
 
     def test_repeated_calls_hit_the_cache(self):
         F._im2col_indices.cache_clear()
-        F._col2im_flat_index.cache_clear()
+        F._im2col_flat_index.cache_clear()
         x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
         first = F.im2col(x, 3, 3, stride=1, padding=1)
         second = F.im2col(x, 3, 3, stride=1, padding=1)
@@ -158,7 +158,7 @@ class TestGatherIndexCaching:
         padded = np.zeros((2, 3, 10, 10))
         for _ in range(2):
             F.im2col(x, 3, 3, stride=1, padding=1, out=out, padded_out=padded)
-        flat_info = F._col2im_flat_index.cache_info()
+        flat_info = F._im2col_flat_index.cache_info()
         assert flat_info.hits >= 1 and flat_info.misses == 1
         np.testing.assert_array_equal(out, first)
         cols = np.random.default_rng(1).normal(size=first.shape)
@@ -168,7 +168,7 @@ class TestGatherIndexCaching:
     def test_cached_indices_are_read_only(self):
         for index in F._im2col_indices(2, 3, 3, 4, 4, 1, 1):
             assert not index.flags.writeable
-        assert not F._col2im_flat_index(2, 3, 3, 4, 4, 1, 1, 6, 6).flags.writeable
+        assert not F._im2col_flat_index(2, 3, 3, 4, 4, 1, 1, 6, 6).flags.writeable
 
     def test_distinct_geometries_get_distinct_entries(self):
         small = F._im2col_indices(1, 3, 3, 4, 4, 1, 1)

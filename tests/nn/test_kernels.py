@@ -21,10 +21,7 @@ from repro.nn import (
     ConvTranspose2d,
     check_layer_input_gradient,
     check_layer_parameter_gradients,
-    compiled_kernels_disabled,
-    compiled_kernels_enabled,
     max_relative_error,
-    workspaces_disabled,
 )
 from repro.nn.functional import col2im, conv_output_size, im2col
 from repro.nn.kernels import fused_col2im, grad_weight_gemm
@@ -113,8 +110,8 @@ class TestFusedCol2im:
             )
 
     def test_float64_matches_pre_pr5_bincount_path(self):
-        # The float64 bincount scatter was the engine before PR 5; the fused
-        # kernel must still reproduce it bit for bit in float64.
+        # The float64 bincount scatter was the original col2im engine; the
+        # fused kernel must still reproduce it bit for bit in float64.
         rng = np.random.default_rng(13)
         for n, c, h, w, kh, kw, stride, padding, dilation in random_geometries(17, 15):
             out_h = conv_output_size(h, kh, stride, padding, dilation)
@@ -258,19 +255,3 @@ class TestLayerParity:
         for name, (analytic, numeric) in check_layer_parameter_gradients(layer, x).items():
             assert max_relative_error(analytic, numeric) < 1e-6, name
 
-
-class TestFlags:
-    def test_flag_round_trip(self):
-        assert compiled_kernels_enabled()
-        with compiled_kernels_disabled():
-            assert not compiled_kernels_enabled()
-            with compiled_kernels_disabled():
-                assert not compiled_kernels_enabled()
-            assert not compiled_kernels_enabled()
-        assert compiled_kernels_enabled()
-
-    def test_flag_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with compiled_kernels_disabled():
-                raise RuntimeError("boom")
-        assert compiled_kernels_enabled()
