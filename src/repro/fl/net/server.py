@@ -34,7 +34,7 @@ import concurrent.futures
 import contextlib
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.fl.net.errors import FrameError, MessageDecodeError, SessionLost
 from repro.fl.net.faults import WireFaultPlan, corrupt_frame
@@ -65,6 +65,10 @@ logger = logging.getLogger(__name__)
 
 #: Socket read chunk size.
 _READ_CHUNK = 1 << 16
+
+#: Seconds :meth:`FederationServer.stop` waits for cancelled connection
+#: tasks to unwind.
+_STOP_WAIT = 5.0
 
 #: Counter keys of :meth:`FederationServer.network_summary`, in report order.
 NETWORK_COUNTER_KEYS = (
@@ -163,6 +167,7 @@ class FederationServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._claim_event: Optional[asyncio.Event] = None
+        self._connections: Set[asyncio.Task] = set()
         self._closing = False
 
     # -- lifecycle (loop-side) ----------------------------------------------------
@@ -184,7 +189,12 @@ class FederationServer:
         return self.port
 
     async def stop(self) -> None:
-        """Orderly shutdown: GOODBYE to every live peer, then close."""
+        """Orderly shutdown: GOODBYE to every live peer, then close.
+
+        Every connection task (and the heartbeat watchdog it owns) is
+        cancelled and awaited, for at most ``_STOP_WAIT`` seconds, so no
+        task is left pending when the event loop closes.
+        """
         self._closing = True
         for session in self.sessions.values():
             if session.reaper is not None:
@@ -197,6 +207,12 @@ class FederationServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._connections:
+            for task in self._connections:
+                task.cancel()
+            _, stuck = await asyncio.wait(self._connections, timeout=_STOP_WAIT)
+            if stuck:
+                logger.warning("%d connection task(s) did not stop within %gs", len(stuck), _STOP_WAIT)
         if self.journal is not None:
             self.journal.close()
         if self._tmp_journal is not None:
@@ -394,8 +410,12 @@ class FederationServer:
 
     # -- connection acceptance ------------------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        actor = ConnectionActor(self, reader, writer)
-        await actor.run()
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            await ConnectionActor(self, reader, writer).run()
+        finally:
+            self._connections.discard(task)
 
 
 class ConnectionActor:

@@ -20,6 +20,9 @@ The anchor guarantees of the PR:
 
 from __future__ import annotations
 
+import asyncio
+import gc
+import logging
 import socket
 import threading
 
@@ -36,6 +39,7 @@ from repro.fl import (
     create_algorithm,
 )
 from repro.fl.net import (
+    FederationServer,
     FrameError,
     FrameReader,
     HandshakeError,
@@ -424,6 +428,33 @@ class TestHandshake:
     def test_joiner_needs_at_least_one_client(self):
         with pytest.raises(ValueError):
             run_client([], "127.0.0.1", 1)
+
+
+class TestShutdown:
+    """``FederationServer.stop`` must leave no task pending on its loop:
+    whatever is pending when the wire backend closes the loop is later
+    destroyed with "Task was destroyed but it is pending!"."""
+
+    def test_stop_cancels_connection_and_heartbeat_tasks(self):
+        async def scenario():
+            server = FederationServer([1], heartbeat_interval=HEARTBEAT, client_timeout=TIMEOUT)
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(encode_frame(*encode_message(Hello(client_ids=(1,)))))
+            await writer.drain()
+            assert await server.wait_for_clients(timeout=5.0)
+            await server.stop()
+            left = [task for task in asyncio.all_tasks() if task is not asyncio.current_task()]
+            writer.close()
+            return left
+
+        assert asyncio.run(scenario()) == []
+
+    def test_wire_run_destroys_no_pending_task(self, make_clients, num_channels, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run_over_wire(make_clients, num_channels)
+            gc.collect()
+        assert "Task was destroyed but it is pending" not in caplog.text
 
 
 class TestStateDigest:
