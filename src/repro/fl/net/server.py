@@ -212,7 +212,9 @@ class FederationServer:
                 task.cancel()
             _, stuck = await asyncio.wait(self._connections, timeout=_STOP_WAIT)
             if stuck:
-                logger.warning("%d connection task(s) did not stop within %gs", len(stuck), _STOP_WAIT)
+                logger.warning(
+                    "%d connection task(s) did not stop within %gs", len(stuck), _STOP_WAIT
+                )
         if self.journal is not None:
             self.journal.close()
         if self._tmp_journal is not None:

@@ -70,8 +70,8 @@ class MSELoss(Loss):
             prediction, target, out=self._ws.get("diff", prediction.shape, prediction.dtype)
         )
         self._cache = (diff,)
-        # diff * diff is what diff**2 lowers to, so the staged form is
-        # bit-identical to the expression form.
+        # diff**2 with the integer exponent lowers to diff * diff, so the
+        # staged form is bit-identical to the expression form.
         square = np.multiply(
             diff, diff, out=self._ws.get("square", prediction.shape, prediction.dtype)
         )

@@ -160,13 +160,16 @@ class TestWorkspaceParity:
         # bincount col2im.
         cols = F.im2col(x, 5, 5, padding=2)
         weight = conv.weight.data.reshape(6, -1)
-        out_off = np.matmul(weight, cols).reshape(3, 6, 10, 10) + conv.bias.data.reshape(1, -1, 1, 1)
+        out_off = np.matmul(weight, cols).reshape(3, 6, 10, 10)
+        out_off = out_off + conv.bias.data.reshape(1, -1, 1, 1)
         grad_flat = grad.reshape(3, 6, 100)
         grad_off = bincount_col2im(np.matmul(weight.T, grad_flat), x.shape, 5, 5, 1, 2, 1)
         weight_grad_off = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
         np.testing.assert_array_equal(out_on, out_off)
         np.testing.assert_array_equal(grad_on, grad_off)
-        np.testing.assert_array_equal(conv.weight.grad, weight_grad_off.reshape(conv.weight.data.shape))
+        np.testing.assert_array_equal(
+            conv.weight.grad, weight_grad_off.reshape(conv.weight.data.shape)
+        )
 
     def test_col2im_taps_match_bincount_bitwise(self):
         cases = [

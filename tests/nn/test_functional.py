@@ -98,7 +98,9 @@ class TestCol2ImAdjoint:
 def conv_geometries(draw):
     """A random valid (x_shape, kh, kw, stride, padding, dilation)."""
     kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    stride, padding, dilation = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 3))
+    dilation = draw(st.integers(1, 3))
     min_h = max(1, dilation * (kh - 1) + 1 - 2 * padding)
     min_w = max(1, dilation * (kw - 1) + 1 - 2 * padding)
     h, w = draw(st.integers(min_h, min_h + 10)), draw(st.integers(min_w, min_w + 10))

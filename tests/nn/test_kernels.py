@@ -174,7 +174,8 @@ class TestGradWeightGemm:
         rng = np.random.default_rng(31)
         grad_flat = rng.standard_normal((4, 5, 12))
         cols = rng.standard_normal((4, 9, 12))
-        assert np.array_equal(staged_grad_weight(grad_flat, cols), batched_grad_weight(grad_flat, cols))
+        staged = staged_grad_weight(grad_flat, cols)
+        assert np.array_equal(staged, batched_grad_weight(grad_flat, cols))
 
 
 def conv2d_step_oracle(layer, x, grad):
